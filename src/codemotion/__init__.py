@@ -5,13 +5,11 @@ from .descriptor import (
     ActionMatrix,
     CodeDescriptor,
     DegenerateActionError,
-    MijRanking,
     compute_descriptor,
     extreme_velocities,
     joint_variances,
     joint_velocities,
     pairwise_correlation,
-    rank_joints,
     rank_mij,
     stack_descriptor,
     stacked_length,
@@ -45,8 +43,6 @@ from .similarity import (
     Metric,
     MetricSpec,
     baseline_distance,
-    common_pairs,
-    correlation_weight,
     csm,
     similarity_matrix,
 )

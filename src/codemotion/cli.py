@@ -132,12 +132,20 @@ def _sanitize(name: str) -> str:
 
 def cmd_describe(args) -> int:
     actions = _load_actions(args)
+    names = [f"{_sanitize(a.action_id)}.json" for a in actions]
+    owners = {}
+    for action, name in zip(actions, names):
+        if name in owners:
+            raise ValueError(
+                f"action ids {owners[name]!r} and {action.action_id!r} both map to output file {name}"
+            )
+        owners[name] = action.action_id
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     descriptors = [compute_descriptor(a, args.jm) for a in actions]
     elapsed = time.perf_counter() - t0
-    for action, desc in zip(actions, descriptors):
+    for action, desc, name in zip(actions, descriptors, names):
         payload = {
             "action_id": action.action_id,
             "jm": desc.jm,
@@ -147,8 +155,7 @@ def cmd_describe(args) -> int:
             "vmin_norm": desc.vmin_norm.tolist(),
             "corr": desc.corr.tolist(),
         }
-        path = out_dir / f"{_sanitize(action.action_id)}.json"
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        (out_dir / name).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     summary = {
         "dataset": Path(args.manifest).stem,
         "actions": len(actions),

@@ -16,11 +16,9 @@ import numpy as np
 __all__ = [
     "ActionMatrix",
     "CodeDescriptor",
-    "MijRanking",
     "DegenerateActionError",
     "FLAT_VARIANCE_FLOOR",
     "joint_variances",
-    "rank_joints",
     "rank_mij",
     "joint_velocities",
     "extreme_velocities",
@@ -86,23 +84,6 @@ class ActionMatrix:
         return ActionMatrix(
             samples, self.frame_rate, self.class_label, self.subject_id, self.action_id
         )
-
-
-@dataclass(frozen=True, eq=False)
-class MijRanking:
-    """Every joint of an action ordered by descending trajectory variance.
-
-    Ties are broken stably: among equal variances the lower joint index
-    comes first, so the ranking is a deterministic permutation of the
-    joint indices.
-    """
-
-    sorted_variances: np.ndarray
-    sorted_indices: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sorted_variances", _frozen_array(self.sorted_variances))
-        object.__setattr__(self, "sorted_indices", _frozen_array(self.sorted_indices, dtype=np.intp))
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,15 +159,6 @@ def joint_variances(action: ActionMatrix) -> np.ndarray:
     return action.samples.var(axis=0)
 
 
-def rank_joints(variances) -> MijRanking:
-    """Sort all joints by descending variance, lower index first on ties."""
-    v = np.asarray(variances, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("variances must be a non-empty 1-D vector")
-    order = np.argsort(-v, kind="stable")
-    return MijRanking(v[order], order)
-
-
 def rank_mij(variances, jm: int) -> tuple[np.ndarray, np.ndarray]:
     """Pick the ``jm`` most informative joints and normalize their variances.
 
@@ -195,6 +167,8 @@ def rank_mij(variances, jm: int) -> tuple[np.ndarray, np.ndarray]:
     variance share, summing to 1.
     """
     v = np.asarray(variances, dtype=np.float64)
+    if v.ndim != 1:
+        raise ValueError("variances must be a 1-D vector")
     total = v.size
     if not 1 <= jm <= total:
         raise ValueError(f"jm must be in [1, {total}], got {jm}")
@@ -202,9 +176,9 @@ def rank_mij(variances, jm: int) -> tuple[np.ndarray, np.ndarray]:
         raise DegenerateActionError(
             "degenerate action: every joint trajectory has zero variance"
         )
-    ranking = rank_joints(v)
-    mij = ranking.sorted_indices[:jm]
-    top = ranking.sorted_variances[:jm]
+    # Stable sort of the negated variances: lower joint index first on ties.
+    mij = np.argsort(-v, kind="stable")[:jm]
+    top = v[mij]
     return mij, top / top.sum()
 
 
@@ -270,8 +244,10 @@ def compute_descriptor(action: ActionMatrix, jm: int) -> CodeDescriptor:
     kept joints, then their pairwise correlations. Deterministic: the
     same action always produces a bit-identical descriptor.
     """
-    variances = joint_variances(action)
-    mij, var_norm = rank_mij(variances, jm)
+    try:
+        mij, var_norm = rank_mij(joint_variances(action), jm)
+    except DegenerateActionError as exc:
+        raise DegenerateActionError(f"action {action.action_id!r}: {exc}") from None
     velocities = joint_velocities(action)[:, mij]
     vmax_norm, vmin_norm = extreme_velocities(velocities)
     corr = pairwise_correlation(action, mij)

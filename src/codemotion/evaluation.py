@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptor import ActionMatrix, CodeDescriptor, compute_descriptor
+from .descriptor import ActionMatrix, CodeDescriptor, compute_descriptor, stacked_length
 from .similarity import MetricSpec, similarity_matrix
 
 __all__ = [
@@ -180,15 +180,20 @@ def _fold_confusion(query_pool, ref_pool, labels, class_index, train_idx, test_i
     return conf
 
 
-def _fold_metrics(conf: np.ndarray) -> tuple[float, float, float]:
-    total = conf.sum()
-    accuracy = float(np.trace(conf) / total)
+def _per_class(conf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class precision and recall; a class never predicted or never present scores 0."""
     diag = np.diag(conf).astype(np.float64)
     col = conf.sum(axis=0).astype(np.float64)
     row = conf.sum(axis=1).astype(np.float64)
     precision = np.divide(diag, col, out=np.zeros_like(diag), where=col > 0)
     recall = np.divide(diag, row, out=np.zeros_like(diag), where=row > 0)
-    present = row > 0  # classes missing from this fold's test set stay out of the macro
+    return precision, recall
+
+
+def _fold_metrics(conf: np.ndarray) -> tuple[float, float, float]:
+    accuracy = float(np.trace(conf) / conf.sum())
+    precision, recall = _per_class(conf)
+    present = conf.sum(axis=1) > 0  # classes missing from this fold's test set stay out of the macro
     return accuracy, float(precision[present].mean()), float(recall[present].mean())
 
 
@@ -206,11 +211,7 @@ def _aggregate_report(fold_confusions, descriptor_time, classify_time, class_lab
     fold_rec = [s[2] for s in fold_stats]
     confusion = np.sum(fold_confusions, axis=0)
     accuracy, macro_precision, macro_recall = _fold_metrics(confusion)
-    diag = np.diag(confusion).astype(np.float64)
-    col = confusion.sum(axis=0).astype(np.float64)
-    row = confusion.sum(axis=1).astype(np.float64)
-    precision_per_class = np.divide(diag, col, out=np.zeros_like(diag), where=col > 0)
-    recall_per_class = np.divide(diag, row, out=np.zeros_like(diag), where=row > 0)
+    precision_per_class, recall_per_class = _per_class(confusion)
     return EvalReport(
         class_labels=class_labels,
         confusion=confusion,
@@ -232,6 +233,25 @@ def _aggregate_report(fold_confusions, descriptor_time, classify_time, class_lab
     )
 
 
+def _describe(dataset, jm: int) -> tuple[list[CodeDescriptor], float]:
+    t0 = time.perf_counter()
+    descriptors = [compute_descriptor(a, jm) for a in dataset]
+    return descriptors, time.perf_counter() - t0
+
+
+def _classify(descriptors, labels, spec, plan, workers, descriptor_time) -> EvalReport:
+    class_labels, class_index = _class_index(labels)
+
+    def run(fold):
+        train_idx, test_idx = fold
+        return _fold_confusion(descriptors, descriptors, labels, class_index, train_idx, test_idx, spec)
+
+    t0 = time.perf_counter()
+    fold_confusions = _run_folds(plan.folds, run, workers)
+    classify_time = time.perf_counter() - t0
+    return _aggregate_report(fold_confusions, descriptor_time, classify_time, class_labels)
+
+
 def evaluate(dataset, jm: int, spec: MetricSpec, plan: SplitPlan, workers: int = 1) -> EvalReport:
     """Run 1-NN classification over every fold of a plan and aggregate the metrics.
 
@@ -242,20 +262,9 @@ def evaluate(dataset, jm: int, spec: MetricSpec, plan: SplitPlan, workers: int =
     dataset = list(dataset)
     if not dataset:
         raise ValueError("dataset is empty")
+    descriptors, descriptor_time = _describe(dataset, jm)
     labels = [a.class_label for a in dataset]
-    class_labels, class_index = _class_index(labels)
-    t0 = time.perf_counter()
-    descriptors = [compute_descriptor(a, jm) for a in dataset]
-    descriptor_time = time.perf_counter() - t0
-
-    def run(fold):
-        train_idx, test_idx = fold
-        return _fold_confusion(descriptors, descriptors, labels, class_index, train_idx, test_idx, spec)
-
-    t1 = time.perf_counter()
-    fold_confusions = _run_folds(plan.folds, run, workers)
-    classify_time = time.perf_counter() - t1
-    return _aggregate_report(fold_confusions, descriptor_time, classify_time, class_labels)
+    return _classify(descriptors, labels, spec, plan, workers, descriptor_time)
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,7 +279,10 @@ class SweepCell:
 
 
 def mij_sweep(dataset, jm_values, specs, plan: SplitPlan, workers: int = 1) -> list[SweepCell]:
-    """Evaluate every (jm, spec) combination; also reports the stacked descriptor size."""
+    """Evaluate every (jm, spec) combination; also reports the stacked descriptor size.
+
+    Descriptors are computed once per jm and shared by all specs.
+    """
     dataset = list(dataset)
     if not dataset:
         raise ValueError("dataset is empty")
@@ -278,17 +290,19 @@ def mij_sweep(dataset, jm_values, specs, plan: SplitPlan, workers: int = 1) -> l
     for jm in jm_values:
         if not 1 <= jm <= num_joints:
             raise ValueError(f"jm={jm} is outside [1, {num_joints}]")
+    labels = [a.class_label for a in dataset]
     cells = []
     for jm in jm_values:
+        descriptors, descriptor_time = _describe(dataset, jm)
         for spec in specs:
-            report = evaluate(dataset, jm, spec, plan, workers=workers)
+            report = _classify(descriptors, labels, spec, plan, workers, descriptor_time)
             cells.append(
                 SweepCell(
                     jm=int(jm),
                     spec=spec,
                     accuracy_mean=report.accuracy_mean,
                     accuracy_std=report.accuracy_std,
-                    descriptor_len=jm * (jm + 7) // 2,
+                    descriptor_len=stacked_length(jm),
                 )
             )
     return cells

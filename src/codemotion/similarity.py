@@ -21,8 +21,6 @@ __all__ = [
     "Metric",
     "FeatureSet",
     "MetricSpec",
-    "common_pairs",
-    "correlation_weight",
     "csm",
     "baseline_distance",
     "similarity_matrix",
@@ -74,56 +72,15 @@ class MetricSpec:
         return MetricSpec(metric, feats)
 
 
-def common_pairs(mij_a, mij_b) -> list[tuple[int, int]]:
-    """Unordered joint-index pairs drawn from the shared MIJ of two descriptors.
-
-    Each pair appears exactly once, as (i, j) with i < j, sorted.
-    """
-    shared = sorted(set(int(x) for x in mij_a) & set(int(x) for x in mij_b))
-    return [(shared[u], shared[v]) for u in range(len(shared)) for v in range(u + 1, len(shared))]
-
-
-def correlation_weight(corr_a: float, corr_b: float) -> float:
-    """Agreement weight for one common pair: 1 - 0.5 * |c_a - c_b|, in [0, 1]."""
-    return 1.0 - 0.5 * abs(corr_a - corr_b)
-
-
-def _corr_at(descriptor: CodeDescriptor, p: int, q: int) -> float:
-    # p, q are rank positions inside mij; corr is the row-major upper triangle.
-    if p > q:
-        p, q = q, p
-    jm = descriptor.jm
-    flat = p * jm - p * (p + 1) // 2 + (q - p - 1)
-    return float(descriptor.corr[flat])
-
-
 def csm(a: CodeDescriptor, b: CodeDescriptor) -> float:
     """Correlation-based similarity between two descriptors with the same jm.
 
     Sums, once per unordered common MIJ pair, the correlation-agreement
-    weight times the two actions' normalized variances and signed extreme
-    velocities at the pair's joints. Disjoint MIJ sets give exactly 0.
-    Symmetric: csm(a, b) == csm(b, a) bit for bit.
+    weight ``1 - 0.5 * |c_a - c_b|`` times the two actions' normalized
+    variances and signed extreme velocities at the pair's joints. Disjoint
+    MIJ sets give exactly 0. Symmetric: csm(a, b) == csm(b, a) bit for bit.
     """
-    if a.jm != b.jm:
-        raise ValueError(f"descriptors built with different jm ({a.jm} vs {b.jm}) are not comparable")
-    pos_a = {int(j): p for p, j in enumerate(a.mij)}
-    pos_b = {int(j): p for p, j in enumerate(b.mij)}
-    shared = sorted(pos_a.keys() & pos_b.keys())
-    g_a = a.var_norm + a.vmax_norm + a.vmin_norm
-    g_b = b.var_norm + b.vmax_norm + b.vmin_norm
-    score = 0.0
-    for u in range(len(shared)):
-        for v in range(u + 1, len(shared)):
-            i, j = shared[u], shared[v]
-            weight = correlation_weight(
-                _corr_at(a, pos_a[i], pos_a[j]), _corr_at(b, pos_b[i], pos_b[j])
-            )
-            # Grouped per descriptor first so the float result is symmetric in (a, b).
-            mass_a = g_a[pos_a[i]] + g_a[pos_a[j]]
-            mass_b = g_b[pos_b[i]] + g_b[pos_b[j]]
-            score += weight * (mass_a + mass_b)
-    return score
+    return float(similarity_matrix([a], [b], MetricSpec(Metric.CSM))[0, 0])
 
 
 _FEATURE_SLICES = {
@@ -166,9 +123,9 @@ def _check_uniform_jm(descriptors) -> int | None:
 def similarity_matrix(queries, references, spec: MetricSpec) -> np.ndarray:
     """Dense score (CSM) or distance (baselines) matrix, queries by references.
 
-    Rows are independent and the result is identical to evaluating every
-    pair with :func:`csm` or :func:`baseline_distance` in a double loop,
-    up to float summation order.
+    Rows are independent. CSM cells equal :func:`csm` of the same pair bit
+    for bit; baseline cells equal :func:`baseline_distance` up to float
+    summation order.
     """
     queries = list(queries)
     references = list(references)
@@ -183,43 +140,47 @@ def similarity_matrix(queries, references, spec: MetricSpec) -> np.ndarray:
     return cdist(feats_q, feats_r, metric=metric)
 
 
-@dataclass(eq=False)
-class _DenseDescriptors:
-    """Descriptor list scattered onto dense per-joint arrays for vectorized CSM."""
+def _mij_pairs(descriptors, num_joints: int):
+    """Every descriptor's MIJ pairs in ascending pair-id order.
 
-    mask: np.ndarray  # (n, num_joints) 1.0 where the joint is in mij
-    mass: np.ndarray  # (n, num_joints) var_norm + vmax_norm + vmin_norm at that joint
-    corr: np.ndarray  # (n, num_joints, num_joints) symmetric, 0 outside mij pairs
-
-
-def _densify(descriptors, num_joints: int) -> _DenseDescriptors:
-    n = len(descriptors)
-    mask = np.zeros((n, num_joints))
-    mass = np.zeros((n, num_joints))
-    corr = np.zeros((n, num_joints, num_joints))
-    for row, d in enumerate(descriptors):
-        mij = d.mij
-        mask[row, mij] = 1.0
-        mass[row, mij] = d.var_norm + d.vmax_norm + d.vmin_norm
-        if d.jm > 1:
-            iu, ju = np.triu_indices(d.jm, k=1)
-            corr[row, mij[iu], mij[ju]] = d.corr
-            corr[row, mij[ju], mij[iu]] = d.corr
-    return _DenseDescriptors(mask, mass, corr)
+    Returns ``(ids, corr, mass)``, each of shape (n, jm(jm-1)/2): the pair
+    id ``min(i, j) * num_joints + max(i, j)`` of joints i and j, the
+    descriptor's correlation for that pair, and its mass ``g[i] + g[j]``
+    with ``g = var_norm + vmax_norm + vmin_norm``.
+    """
+    p, q = np.triu_indices(descriptors[0].jm, k=1)  # rank positions, in corr's layout
+    mij = np.stack([d.mij for d in descriptors])
+    g = np.stack([d.var_norm + d.vmax_norm + d.vmin_norm for d in descriptors])
+    corr = np.stack([d.corr for d in descriptors])
+    ids = np.minimum(mij[:, p], mij[:, q]) * num_joints + np.maximum(mij[:, p], mij[:, q])
+    order = np.argsort(ids, axis=1)
+    return tuple(np.take_along_axis(x, order, axis=1) for x in (ids, corr, g[:, p] + g[:, q]))
 
 
 def _csm_matrix(queries, references) -> np.ndarray:
     num_joints = 1 + max(int(d.mij.max()) for d in queries + references)
-    q = _densify(queries, num_joints)
-    r = _densify(references, num_joints)
-    off_diagonal = 1.0 - np.eye(num_joints)
-    scores = np.empty((len(queries), len(references)))
-    for row in range(len(queries)):
-        shared = q.mask[row] * r.mask  # (nr, J)
-        pair = shared[:, :, None] * shared[:, None, :] * off_diagonal
-        weight = 1.0 - 0.5 * np.abs(q.corr[row][None, :, :] - r.corr)
-        mass = q.mass[row][None, :] + r.mass  # (nr, J)
-        bracket = mass[:, :, None] + mass[:, None, :]
-        # Each unordered pair is counted twice in the full i != j sum.
-        scores[row] = 0.5 * (pair * weight * bracket).sum(axis=(1, 2))
+    q_ids, q_corr, q_mass = _mij_pairs(queries, num_joints)
+    r_ids, r_corr, r_mass = _mij_pairs(references, num_joints)
+    # Number the pair ids in use; np.unique keeps them in ascending order.
+    both = np.concatenate([q_ids, r_ids])
+    used, slot = np.unique(both, return_inverse=True)
+    slot = slot.reshape(both.shape)
+    q_slot, r_slot = slot[: len(queries)], slot[len(queries) :]
+    # Pair-major reference tables, zero where a reference lacks the pair.
+    mask = np.zeros((used.size, len(references)))
+    corr = np.zeros_like(mask)
+    mass = np.zeros_like(mask)
+    cols = np.arange(len(references))[:, None]
+    mask[r_slot, cols] = 1.0
+    corr[r_slot, cols] = r_corr
+    mass[r_slot, cols] = r_mass
+    # Every cell adds its query's pairs one at a time in pair-id order. The
+    # non-zero terms are then the shared pairs in the same order from either
+    # side, so S(Q, R) == S(R, Q).T bit for bit. A numpy reduction over the
+    # pair axis would not keep that order: it sums a single column pairwise.
+    scores = np.zeros((len(queries), len(references)))
+    for k in range(q_slot.shape[1]):
+        s = q_slot[:, k]
+        weight = 1.0 - 0.5 * np.abs(q_corr[:, k, None] - corr[s])
+        scores += mask[s] * weight * (q_mass[:, k, None] + mass[s])
     return scores

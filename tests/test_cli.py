@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,16 @@ def synth_dir(tmp_path_factory):
     )
     assert code == 0
     return out
+
+
+def copy_dataset(synth_dir, dest, edit):
+    """Copy of the synthetic dataset whose manifest entries pass through ``edit``."""
+    shutil.copytree(synth_dir, dest)
+    manifest_path = dest / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    edit(manifest["entries"])
+    manifest_path.write_text(json.dumps(manifest))
+    return manifest_path
 
 
 def dir_digest(path):
@@ -84,6 +95,18 @@ class TestDescribe:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["stacked_length"] == 270
 
+    def test_colliding_output_names_fail_before_writing(self, synth_dir, tmp_path, capsys):
+        def collide(entries):
+            entries[0]["action_id"] = "a/b"
+            entries[1]["action_id"] = "a_b"
+
+        manifest = copy_dataset(synth_dir, tmp_path / "data", collide)
+        out = tmp_path / "desc"
+        assert run("describe", "--manifest", manifest, "--jm", 3, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "'a/b'" in err and "'a_b'" in err
+        assert not out.exists()
+
     def test_rerun_is_byte_identical_per_descriptor(self, synth_dir, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         for out in (out1, out2):
@@ -137,6 +160,19 @@ class TestCrossval:
                    "--out", out, "--format", "csv") == 0
         rows = {row[0]: row[1] for row in csv.reader(out.open())}
         assert float(rows["accuracy_mean"]) == 1.0
+
+    def test_flat_action_is_named_in_the_error(self, synth_dir, tmp_path, capsys):
+        def flatten(entries):
+            # every joint constant (90 frames x 10 joints, as in synth_dir)
+            (tmp_path / "data" / entries[3]["path"]).write_text((",".join(["0.0"] * 10) + "\n") * 90)
+            entries[3]["action_id"] = "flat_take"
+
+        manifest = copy_dataset(synth_dir, tmp_path / "data", flatten)
+        code = run("crossval", "--manifest", manifest, "--jm", 3, "--folds", 4, "--seed", 3,
+                   "--out", tmp_path / "report.json")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "degenerate action" in err and "'flat_take'" in err
 
     def test_seed_is_required(self, synth_dir, tmp_path, capsys):
         code = run("crossval", "--manifest", synth_dir / "manifest.json",

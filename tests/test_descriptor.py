@@ -10,7 +10,6 @@ from codemotion import (
     joint_variances,
     joint_velocities,
     pairwise_correlation,
-    rank_joints,
     rank_mij,
     stack_descriptor,
     stacked_length,
@@ -101,10 +100,13 @@ class TestRankMij:
         assert var_norm.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_full_ranking_is_permutation_and_sorted(self, rng):
-        v = rng.uniform(0.0, 10.0, 9)
-        ranking = rank_joints(v)
-        assert sorted(ranking.sorted_indices.tolist()) == list(range(9))
-        assert np.all(np.diff(ranking.sorted_variances) <= 0)
+        v = np.round(rng.uniform(0.0, 10.0, 12))  # 12 values from 11 integers: ties are certain
+        mij, _ = rank_mij(v, jm=12)
+        assert sorted(mij.tolist()) == list(range(12))
+        assert np.all(np.diff(v[mij]) <= 0)
+        for a, b in zip(mij[:-1], mij[1:]):
+            if v[a] == v[b]:
+                assert a < b
 
 
 class TestJointVelocities:
@@ -221,8 +223,8 @@ class TestComputeDescriptor:
         assert d1 == d2
 
     def test_propagates_degenerate(self):
-        action = ActionMatrix(np.full((6, 4), 3.0), frame_rate=10.0)
-        with pytest.raises(DegenerateActionError):
+        action = ActionMatrix(np.full((6, 4), 3.0), frame_rate=10.0, action_id="flat_07")
+        with pytest.raises(DegenerateActionError, match="'flat_07': degenerate action"):
             compute_descriptor(action, 2)
 
     def test_memory_independent_of_frames(self, rng):

@@ -7,9 +7,7 @@ from codemotion import (
     Metric,
     MetricSpec,
     baseline_distance,
-    common_pairs,
     compute_descriptor,
-    correlation_weight,
     csm,
     similarity_matrix,
 )
@@ -24,6 +22,13 @@ def make_descriptor(mij, var, vmax, vmin, corr):
 
 def random_descriptors(rng, n, jm=4, joints=8):
     return [compute_descriptor(random_action(rng, joints=joints, frames=20), jm) for _ in range(n)]
+
+
+def assert_same_bits(actual, expected):
+    """Exact equality of float64 arrays, bit pattern by bit pattern."""
+    actual, expected = np.ascontiguousarray(actual), np.ascontiguousarray(expected)
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
 
 
 class TestMetricSpec:
@@ -43,27 +48,6 @@ class TestMetricSpec:
             MetricSpec.parse("cosine")
         with pytest.raises(ValueError, match="unknown feature set"):
             MetricSpec.parse("euclidean", "everything")
-
-
-class TestCommonPairs:
-    def test_pairs_listed_once_unordered(self):
-        pairs = common_pairs([3, 1, 5], [5, 3, 9])
-        assert pairs == [(3, 5)]
-
-    def test_disjoint_sets_give_nothing(self):
-        assert common_pairs([0, 1], [2, 3]) == []
-
-    def test_three_shared_joints(self):
-        pairs = common_pairs([4, 2, 7, 0], [0, 2, 4])
-        assert pairs == [(0, 2), (0, 4), (2, 4)]
-
-
-class TestCorrelationWeight:
-    def test_bounds_and_extremes(self):
-        assert correlation_weight(0.5, 0.5) == 1.0
-        assert correlation_weight(1.0, -1.0) == 0.0
-        assert correlation_weight(-1.0, 1.0) == 0.0
-        assert 0.0 <= correlation_weight(0.3, -0.9) <= 1.0
 
 
 class TestCsm:
@@ -167,7 +151,37 @@ class TestSimilarityMatrix:
     def test_symmetric_for_csm_when_queries_equal_references(self, rng):
         descs = random_descriptors(rng, 6, jm=3, joints=6)
         matrix = similarity_matrix(descs, descs, MetricSpec(Metric.CSM))
-        np.testing.assert_array_equal(matrix, matrix.T)
+        assert_same_bits(matrix, matrix.T)
+        # disjoint query and reference sets: swapping them transposes the matrix exactly
+        for jm, joints in ((3, 6), (12, 30)):
+            queries = random_descriptors(rng, 4, jm=jm, joints=joints)
+            references = random_descriptors(rng, 7, jm=jm, joints=joints)
+            forward = similarity_matrix(queries, references, MetricSpec(Metric.CSM))
+            backward = similarity_matrix(references, queries, MetricSpec(Metric.CSM))
+            assert_same_bits(forward, backward.T)
+
+    def test_csm_cells_equal_pairwise_csm_exactly(self, rng):
+        # jm = 12 gives 66 pairs per descriptor, enough that a pairwise
+        # reduction over a single reference column would reorder the sum
+        descs = random_descriptors(rng, 6, jm=12, joints=30)
+        matrix = similarity_matrix(descs[:2], descs, MetricSpec(Metric.CSM))
+        expected = np.array([[csm(q, r) for r in descs] for q in descs[:2]])
+        assert_same_bits(matrix, expected)
+        for q in descs[:2]:
+            assert_same_bits(similarity_matrix([q], descs[-1:], MetricSpec(Metric.CSM)),
+                             np.array([[csm(q, descs[-1])]]))
+
+    def test_csm_with_jm1_is_all_zero(self, rng):
+        descs = random_descriptors(rng, 4, jm=1, joints=3)
+        matrix = similarity_matrix(descs, descs[:3], MetricSpec(Metric.CSM))
+        assert_same_bits(matrix, np.zeros((4, 3)))
+
+    def test_csm_matches_oracle_at_60_joints(self, rng):
+        descs = random_descriptors(rng, 6, jm=20, joints=60)
+        matrix = similarity_matrix(descs, descs, MetricSpec(Metric.CSM))
+        expected = np.array([[csm_score(q, r) for r in descs] for q in descs])
+        assert np.count_nonzero(expected) > len(descs)  # some off-diagonal pairs share MIJ pairs
+        np.testing.assert_allclose(matrix, expected, rtol=0, atol=1e-12)
 
     def test_matches_double_loop_oracle(self, rng):
         descs = random_descriptors(rng, 5, jm=3, joints=6)
