@@ -22,7 +22,6 @@ from .evaluation import (
     SweepCell,
     evaluate,
     inject_agwn,
-    knn1_classify,
     mij_sweep,
     noise_sweep,
 )

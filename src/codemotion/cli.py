@@ -95,17 +95,9 @@ def _write_confusion_csv(path, report) -> None:
     _write_csv(path, header, rows)
 
 
-def _report_payload(report, dataset_name, protocol) -> dict:
-    payload = report.to_dict()
-    payload["dataset"] = dataset_name
-    payload["protocol"] = protocol
-    return payload
-
-
 def _write_report(args, report, protocol) -> None:
     out = Path(args.out)
-    dataset_name = Path(args.manifest).stem
-    if getattr(args, "format", "json") == "csv":
+    if args.format == "csv":
         rows = [
             ("accuracy_overall", _fmt(report.accuracy)),
             ("accuracy_mean", _fmt(report.accuracy_mean)),
@@ -121,7 +113,9 @@ def _write_report(args, report, protocol) -> None:
         ]
         _write_csv(out, ["metric", "value"], rows)
     else:
-        payload = _report_payload(report, dataset_name, protocol)
+        payload = report.to_dict()
+        payload["dataset"] = Path(args.manifest).stem
+        payload["protocol"] = protocol
         out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     _write_confusion_csv(out.with_suffix(out.suffix + ".confusion.csv"), report)
 
@@ -135,6 +129,11 @@ def cmd_describe(args) -> int:
     names = [f"{_sanitize(a.action_id)}.json" for a in actions]
     owners = {}
     for action, name in zip(actions, names):
+        if name == "summary.json":
+            raise ValueError(
+                f"action id {action.action_id!r} maps to output file summary.json, "
+                "which is reserved for the run summary"
+            )
         if name in owners:
             raise ValueError(
                 f"action ids {owners[name]!r} and {action.action_id!r} both map to output file {name}"
@@ -173,21 +172,33 @@ def cmd_describe(args) -> int:
     return 0
 
 
-def cmd_crossval(args) -> int:
+def _evaluate_split(args, split, protocol):
+    """Load, run 1-NN over the plan that ``split`` builds from the actions, write the report.
+
+    ``protocol`` holds the report keys of the split's own kind; the keys
+    every split shares are added here.
+    """
     actions = _load_actions(args)
     spec = _metric_spec(args)
-    plan = SplitPlan.stratified_kfold([a.class_label for a in actions], args.folds, args.seed)
-    report = evaluate(actions, args.jm, spec, plan, workers=_workers())
-    protocol = {
-        "kind": "stratified-kfold",
-        "folds": args.folds,
-        "seed": args.seed,
-        "jm": args.jm,
-        "metric": args.metric,
-        "features": args.features,
-        "filter_cutoff_hz": None if args.no_filter else args.filter_cutoff,
-    }
+    report = evaluate(actions, args.jm, spec, split(actions), workers=_workers())
+    protocol.update(
+        jm=args.jm,
+        metric=args.metric,
+        features=args.features,
+        filter_cutoff_hz=None if args.no_filter else args.filter_cutoff,
+    )
     _write_report(args, report, protocol)
+    return report
+
+
+def cmd_crossval(args) -> int:
+    report = _evaluate_split(
+        args,
+        lambda actions: SplitPlan.stratified_kfold(
+            [a.class_label for a in actions], args.folds, args.seed
+        ),
+        {"kind": "stratified-kfold", "folds": args.folds, "seed": args.seed},
+    )
     print(
         f"accuracy {report.accuracy_mean:.4f} +/- {report.accuracy_std:.4f} "
         f"({args.folds}-fold, jm={args.jm}, {args.metric})"
@@ -196,21 +207,12 @@ def cmd_crossval(args) -> int:
 
 
 def cmd_cross_subject(args) -> int:
-    actions = _load_actions(args)
-    spec = _metric_spec(args)
-    plan = SplitPlan.cross_subject(
-        [a.subject_id for a in actions], _csv_list(args.train_subjects)
+    train_subjects = _csv_list(args.train_subjects)
+    report = _evaluate_split(
+        args,
+        lambda actions: SplitPlan.cross_subject([a.subject_id for a in actions], train_subjects),
+        {"kind": "cross-subject", "train_subjects": train_subjects},
     )
-    report = evaluate(actions, args.jm, spec, plan, workers=_workers())
-    protocol = {
-        "kind": "cross-subject",
-        "train_subjects": _csv_list(args.train_subjects),
-        "jm": args.jm,
-        "metric": args.metric,
-        "features": args.features,
-        "filter_cutoff_hz": None if args.no_filter else args.filter_cutoff,
-    }
-    _write_report(args, report, protocol)
     print(f"cross-subject accuracy {report.accuracy:.4f} (jm={args.jm}, {args.metric})")
     return 0
 

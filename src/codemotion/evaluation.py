@@ -17,7 +17,6 @@ __all__ = [
     "EvalReport",
     "SweepCell",
     "NoiseRow",
-    "knn1_classify",
     "evaluate",
     "mij_sweep",
     "inject_agwn",
@@ -153,33 +152,6 @@ class EvalReport:
         }
 
 
-def knn1_classify(test: CodeDescriptor, training, spec: MetricSpec):
-    """Label of the nearest training item; ties go to the lowest training index."""
-    training = list(training)
-    if not training:
-        raise ValueError("training set is empty")
-    scores = similarity_matrix([test], [d for d, _ in training], spec)[0]
-    best = int(scores.argmax()) if spec.higher_is_better else int(scores.argmin())
-    return training[best][1]
-
-
-def _class_index(labels) -> tuple[list[str], dict]:
-    classes = sorted(set(labels))
-    return classes, {c: i for i, c in enumerate(classes)}
-
-
-def _fold_confusion(query_pool, ref_pool, labels, class_index, train_idx, test_idx, spec):
-    queries = [query_pool[i] for i in test_idx]
-    references = [ref_pool[i] for i in train_idx]
-    matrix = similarity_matrix(queries, references, spec)
-    best = matrix.argmax(axis=1) if spec.higher_is_better else matrix.argmin(axis=1)
-    conf = np.zeros((len(class_index), len(class_index)), dtype=np.int64)
-    for row, i in enumerate(test_idx):
-        predicted = labels[int(train_idx[int(best[row])])]
-        conf[class_index[labels[int(i)]], class_index[predicted]] += 1
-    return conf
-
-
 def _per_class(conf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-class precision and recall; a class never predicted or never present scores 0."""
     diag = np.diag(conf).astype(np.float64)
@@ -195,13 +167,6 @@ def _fold_metrics(conf: np.ndarray) -> tuple[float, float, float]:
     precision, recall = _per_class(conf)
     present = conf.sum(axis=1) > 0  # classes missing from this fold's test set stay out of the macro
     return accuracy, float(precision[present].mean()), float(recall[present].mean())
-
-
-def _run_folds(folds, fn, workers):
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, folds))
-    return [fn(fold) for fold in folds]
 
 
 def _aggregate_report(fold_confusions, descriptor_time, classify_time, class_labels):
@@ -239,15 +204,35 @@ def _describe(dataset, jm: int) -> tuple[list[CodeDescriptor], float]:
     return descriptors, time.perf_counter() - t0
 
 
-def _classify(descriptors, labels, spec, plan, workers, descriptor_time) -> EvalReport:
-    class_labels, class_index = _class_index(labels)
+def _classify(queries, references, labels, spec, plan, workers, descriptor_time) -> EvalReport:
+    """1-NN over every fold of ``plan``, the one classification step of every protocol.
 
-    def run(fold):
+    A fold's test items are scored as ``queries[i]`` against its training
+    items ``references[j]``; ties go to the lowest training index. With
+    ``workers > 1`` folds run in threads, with results identical to the
+    sequential order.
+    """
+    class_labels = sorted(set(labels))
+    class_index = {c: i for i, c in enumerate(class_labels)}
+
+    def fold_confusion(fold):
         train_idx, test_idx = fold
-        return _fold_confusion(descriptors, descriptors, labels, class_index, train_idx, test_idx, spec)
+        matrix = similarity_matrix(
+            [queries[i] for i in test_idx], [references[i] for i in train_idx], spec
+        )
+        best = matrix.argmax(axis=1) if spec.higher_is_better else matrix.argmin(axis=1)
+        conf = np.zeros((len(class_labels), len(class_labels)), dtype=np.int64)
+        for row, i in enumerate(test_idx):
+            predicted = labels[int(train_idx[int(best[row])])]
+            conf[class_index[labels[int(i)]], class_index[predicted]] += 1
+        return conf
 
     t0 = time.perf_counter()
-    fold_confusions = _run_folds(plan.folds, run, workers)
+    if workers and workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            fold_confusions = list(pool.map(fold_confusion, plan.folds))
+    else:
+        fold_confusions = [fold_confusion(fold) for fold in plan.folds]
     classify_time = time.perf_counter() - t0
     return _aggregate_report(fold_confusions, descriptor_time, classify_time, class_labels)
 
@@ -264,7 +249,7 @@ def evaluate(dataset, jm: int, spec: MetricSpec, plan: SplitPlan, workers: int =
         raise ValueError("dataset is empty")
     descriptors, descriptor_time = _describe(dataset, jm)
     labels = [a.class_label for a in dataset]
-    return _classify(descriptors, labels, spec, plan, workers, descriptor_time)
+    return _classify(descriptors, descriptors, labels, spec, plan, workers, descriptor_time)
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,7 +280,7 @@ def mij_sweep(dataset, jm_values, specs, plan: SplitPlan, workers: int = 1) -> l
     for jm in jm_values:
         descriptors, descriptor_time = _describe(dataset, jm)
         for spec in specs:
-            report = _classify(descriptors, labels, spec, plan, workers, descriptor_time)
+            report = _classify(descriptors, descriptors, labels, spec, plan, workers, descriptor_time)
             cells.append(
                 SweepCell(
                     jm=int(jm),
@@ -355,27 +340,15 @@ def noise_sweep(
         raise ValueError("dataset is empty")
     prep = preprocess if preprocess is not None else (lambda action: action)
     labels = [a.class_label for a in dataset]
-    class_labels, class_index = _class_index(labels)
-    clean = [compute_descriptor(prep(a), jm) for a in dataset]
+    clean, _ = _describe((prep(a) for a in dataset), jm)
     rows = []
     for s_idx, sigma in enumerate(sigmas):
-        noisy = [
-            compute_descriptor(prep(inject_agwn(a, float(sigma), seed=[seed, s_idx, i])), jm)
-            for i, a in enumerate(dataset)
-        ]
-        train_pool = noisy if corrupt_train else clean
-
-        def run(fold):
-            train_idx, test_idx = fold
-            return _fold_confusion(noisy, train_pool, labels, class_index, train_idx, test_idx, spec)
-
-        fold_confusions = _run_folds(plan.folds, run, workers)
-        fold_acc = [_fold_metrics(conf)[0] for conf in fold_confusions]
-        rows.append(
-            NoiseRow(
-                sigma_deg=float(sigma),
-                accuracy_mean=float(np.mean(fold_acc)),
-                accuracy_std=float(np.std(fold_acc)),
-            )
+        noisy, descriptor_time = _describe(
+            (prep(inject_agwn(a, float(sigma), seed=[seed, s_idx, i])) for i, a in enumerate(dataset)),
+            jm,
         )
+        report = _classify(
+            noisy, noisy if corrupt_train else clean, labels, spec, plan, workers, descriptor_time
+        )
+        rows.append(NoiseRow(float(sigma), report.accuracy_mean, report.accuracy_std))
     return rows

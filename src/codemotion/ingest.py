@@ -132,12 +132,15 @@ def _read_csv_matrix(path: Path) -> np.ndarray:
             continue
         cells = [c.strip() for c in line.split(",")]
         try:
+            if "_" in line:
+                raise ValueError  # float() reads digit separators: '1_0' as 10.0
             values = [float(c) for c in cells]
         except ValueError:
-            if header_allowed:
-                header_allowed = False  # first row may be a header; anything later is an error
+            numeric = [_is_number(c) for c in cells]
+            if header_allowed and not any(numeric):
+                header_allowed = False  # only a first row without any numeric cell is a header
                 continue
-            bad = next(c for c in cells if not _is_number(c))
+            bad = cells[numeric.index(False)]
             raise DatasetError(f"{path}, line {line_no}: non-numeric value {bad!r}") from None
         header_allowed = False
         if any(not math.isfinite(v) for v in values):
@@ -155,6 +158,8 @@ def _read_csv_matrix(path: Path) -> np.ndarray:
 
 
 def _is_number(cell: str) -> bool:
+    if "_" in cell:
+        return False
     try:
         float(cell)
         return True

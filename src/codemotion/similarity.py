@@ -102,12 +102,7 @@ def baseline_distance(a: CodeDescriptor, b: CodeDescriptor, spec: MetricSpec) ->
     """
     if spec.kind is Metric.CSM:
         raise ValueError("baseline_distance handles Euclidean/Manhattan only; use csm() for CSM")
-    if a.jm != b.jm:
-        raise ValueError(f"descriptors built with different jm ({a.jm} vs {b.jm}) are not comparable")
-    diff = _feature_vector(a, spec.features) - _feature_vector(b, spec.features)
-    if spec.kind is Metric.MANHATTAN:
-        return float(np.abs(diff).sum())
-    return float(np.sqrt((diff * diff).sum()))
+    return float(similarity_matrix([a], [b], spec)[0, 0])
 
 
 def _check_uniform_jm(descriptors) -> int | None:
@@ -123,9 +118,8 @@ def _check_uniform_jm(descriptors) -> int | None:
 def similarity_matrix(queries, references, spec: MetricSpec) -> np.ndarray:
     """Dense score (CSM) or distance (baselines) matrix, queries by references.
 
-    Rows are independent. CSM cells equal :func:`csm` of the same pair bit
-    for bit; baseline cells equal :func:`baseline_distance` up to float
-    summation order.
+    Rows are independent. Every cell equals the one-cell call of the same
+    pair, :func:`csm` or :func:`baseline_distance`, bit for bit.
     """
     queries = list(queries)
     references = list(references)

@@ -107,6 +107,17 @@ class TestDescribe:
         assert "'a/b'" in err and "'a_b'" in err
         assert not out.exists()
 
+    def test_summary_action_id_is_reserved(self, synth_dir, tmp_path, capsys):
+        def reserve(entries):
+            entries[2]["action_id"] = "summary"
+
+        manifest = copy_dataset(synth_dir, tmp_path / "data", reserve)
+        out = tmp_path / "desc"
+        assert run("describe", "--manifest", manifest, "--jm", 3, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "'summary'" in err and "summary.json" in err
+        assert not out.exists()
+
     def test_rerun_is_byte_identical_per_descriptor(self, synth_dir, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         for out in (out1, out2):

@@ -11,10 +11,11 @@ from codemotion import (
     csm,
     evaluate,
     inject_agwn,
-    knn1_classify,
     mij_sweep,
     noise_sweep,
 )
+from codemotion import evaluation
+from oracles import csm_score
 
 from conftest import random_action
 
@@ -42,6 +43,11 @@ def disjoint_dataset(per_class=4, joints=8):
         actions.append(sine_action([4, 5], joints, "right", action_id=f"r{r}",
                                    phase=0.2 * r, seed=200 + r))
     return actions
+
+
+def one_fold(train, test):
+    """A plan with a single hand-picked (train, test) fold."""
+    return SplitPlan("one-fold", ((np.array(train, dtype=np.intp), np.array(test, dtype=np.intp)),))
 
 
 class TestStratifiedKFold:
@@ -108,49 +114,6 @@ class TestCrossSubject:
             SplitPlan.cross_subject(["s0", "s1"], ["s0", "s1"])
 
 
-class TestKnn1:
-    def test_single_training_item_always_wins(self, rng):
-        test = compute_descriptor(random_action(rng, joints=6, frames=20), 3)
-        train = compute_descriptor(random_action(rng, joints=6, frames=20), 3)
-        assert knn1_classify(test, [(train, "only")], CSM) == "only"
-
-    def test_empty_training_rejected(self, rng):
-        test = compute_descriptor(random_action(rng, joints=6, frames=20), 3)
-        with pytest.raises(ValueError, match="empty"):
-            knn1_classify(test, [], CSM)
-
-    def test_tie_goes_to_lowest_index(self, rng):
-        d = compute_descriptor(random_action(rng, joints=6, frames=20), 3)
-        # two identical training items: equal score, first one wins
-        assert knn1_classify(d, [(d, "first"), (d, "second")], CSM) == "first"
-
-    def test_exact_duplicate_is_found(self):
-        actions = disjoint_dataset(per_class=3)
-        descs = [(compute_descriptor(a, 2), a.class_label) for a in actions]
-        test_action = actions[0]
-        predicted = knn1_classify(compute_descriptor(test_action, 2), descs, CSM)
-        assert predicted == "left"
-
-    def test_exact_duplicate_wins_under_every_metric(self, rng):
-        # self-distance 0 (or maximal self-similarity) is the unique optimum here
-        actions = [random_action(rng, joints=6, frames=20, class_label=f"c{i}") for i in range(4)]
-        descs = [(compute_descriptor(a, 3), a.class_label) for a in actions]
-        specs = [CSM, MetricSpec(Metric.EUCLIDEAN, FeatureSet.FULL),
-                 MetricSpec(Metric.MANHATTAN, FeatureSet.VARIANCE_VELOCITY)]
-        for spec in specs:
-            for desc, label in descs:
-                assert knn1_classify(desc, descs, spec) == label
-
-    def test_argmax_confirmed_by_enumeration(self):
-        actions = disjoint_dataset(per_class=3)
-        descs = [compute_descriptor(a, 2) for a in actions]
-        test = descs[0]
-        scores = [csm(test, d) for d in descs[1:]]
-        best = max(range(len(scores)), key=lambda i: scores[i])
-        predicted = knn1_classify(test, [(d, a.class_label) for d, a in zip(descs[1:], actions[1:])], CSM)
-        assert predicted == actions[1:][best].class_label
-
-
 class TestEvaluate:
     def test_disjoint_classes_are_perfectly_separated(self):
         actions = disjoint_dataset(per_class=5)
@@ -212,6 +175,80 @@ class TestEvaluate:
             assert key in payload
         assert set(payload["accuracy"]) == {"overall", "mean", "std", "per_fold"}
         assert len(payload["folds"]) == 4
+
+
+class TestKnn1:
+    """The 1-NN step, driven through evaluate with one hand-picked fold."""
+
+    def test_single_training_item_always_wins(self, rng):
+        actions = [random_action(rng, joints=6, frames=20, class_label=label) for label in ("only", "query")]
+        report = evaluate(actions, jm=3, spec=CSM, plan=one_fold([0], [1]))
+        assert report.confusion[report.class_labels.index("query"), report.class_labels.index("only")] == 1
+
+    def test_empty_training_rejected(self, rng):
+        actions = [random_action(rng, joints=6, frames=20) for _ in range(2)]
+        with pytest.raises(ValueError, match="empty"):
+            evaluate(actions, jm=3, spec=CSM, plan=one_fold([], [0, 1]))
+
+    def test_tie_goes_to_lowest_index(self, rng):
+        # three copies of one action: every training item scores the same
+        samples = random_action(rng, joints=6, frames=20).samples
+        actions = [ActionMatrix(samples, 30.0, class_label=label) for label in ("first", "second", "query")]
+        # the winner is the first item of the fold's training list
+        for train, expected in (([0, 1], "first"), ([1, 0], "second")):
+            report = evaluate(actions, jm=3, spec=CSM, plan=one_fold(train, [2]))
+            row = report.confusion[report.class_labels.index("query")]
+            assert row.sum() == 1
+            assert report.class_labels[int(row.argmax())] == expected
+
+    def test_exact_duplicate_is_found(self):
+        actions = disjoint_dataset(per_class=3)
+        report = evaluate(actions + actions[:1], jm=2, spec=CSM, plan=one_fold(range(6), [6]))
+        left = report.class_labels.index("left")
+        assert report.confusion[left, left] == 1
+
+    def test_exact_duplicate_wins_under_every_metric(self, rng):
+        # self-distance 0 (or maximal self-similarity) is the unique optimum here
+        actions = [random_action(rng, joints=6, frames=20, class_label=f"c{i}") for i in range(4)]
+        specs = [CSM, MetricSpec(Metric.EUCLIDEAN, FeatureSet.FULL),
+                 MetricSpec(Metric.MANHATTAN, FeatureSet.VARIANCE_VELOCITY)]
+        for spec in specs:
+            report = evaluate(actions + actions, jm=3, spec=spec, plan=one_fold(range(4), range(4, 8)))
+            np.testing.assert_array_equal(report.confusion, np.eye(4, dtype=np.int64))
+
+    def test_argmax_confirmed_by_enumeration(self, rng):
+        actions = [random_action(rng, joints=6, frames=20, class_label=f"c{i}") for i in range(8)]
+        descs = [compute_descriptor(a, 3) for a in actions]
+        scores = [csm_score(descs[0], d) for d in descs[1:]]
+        best = 1 + max(range(len(scores)), key=scores.__getitem__)
+        report = evaluate(actions, jm=3, spec=CSM, plan=one_fold(range(1, 8), [0]))
+        assert report.confusion[0, best] == 1
+
+
+class TestOneClassificationPath:
+    def test_each_protocol_scores_every_fold_of_every_variant_once(self, monkeypatch):
+        # evaluate, mij_sweep and noise_sweep share one 1-NN step; each fold of
+        # each (jm, spec) or sigma variant is one similarity_matrix call
+        real = evaluation.similarity_matrix
+        calls = []
+
+        def counting(queries, references, spec):
+            calls.append(spec)
+            return real(queries, references, spec)
+
+        monkeypatch.setattr(evaluation, "similarity_matrix", counting)
+        actions = disjoint_dataset(per_class=4)
+        plan = SplitPlan.stratified_kfold([a.class_label for a in actions], k=4, seed=0)
+        manhattan = MetricSpec(Metric.MANHATTAN, FeatureSet.VARIANCE)
+
+        evaluate(actions, jm=2, spec=CSM, plan=plan, workers=2)
+        assert calls == [CSM] * 4
+        calls.clear()
+        mij_sweep(actions, [2, 3], [CSM, manhattan], plan, workers=2)
+        assert calls == ([CSM] * 4 + [manhattan] * 4) * 2
+        calls.clear()
+        noise_sweep(actions, [0.0, 1.0, 2.0], jm=2, spec=CSM, plan=plan, seed=1, workers=2)
+        assert calls == [CSM] * 4 * 3
 
 
 class TestMijSweep:
@@ -278,13 +315,16 @@ class TestInjectAgwn:
 
 
 class TestNoiseSweep:
-    def test_sigma_zero_matches_plain_evaluate(self):
-        actions = disjoint_dataset(per_class=4)
-        plan = SplitPlan.stratified_kfold([a.class_label for a in actions], k=4, seed=0)
-        rows = noise_sweep(actions, [0.0, 1.0], jm=2, spec=CSM, plan=plan, seed=11)
-        report = evaluate(actions, jm=2, spec=CSM, plan=plan)
+    def test_sigma_zero_matches_plain_evaluate(self, rng):
+        # random classes, so the fold accuracies differ and their std is not trivially 0
+        actions = [random_action(rng, joints=6, frames=20, class_label=f"c{i % 3}") for i in range(18)]
+        plan = SplitPlan.stratified_kfold([a.class_label for a in actions], k=3, seed=0)
+        rows = noise_sweep(actions, [0.0, 1.0], jm=3, spec=CSM, plan=plan, seed=11, workers=2)
+        report = evaluate(actions, jm=3, spec=CSM, plan=plan, workers=2)
+        assert report.accuracy_std > 0.0
         assert rows[0].sigma_deg == 0.0
         assert rows[0].accuracy_mean == report.accuracy_mean
+        assert rows[0].accuracy_std == report.accuracy_std
 
     def test_rows_follow_requested_sigmas(self):
         actions = disjoint_dataset(per_class=3)

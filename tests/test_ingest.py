@@ -85,6 +85,17 @@ class TestLoadDataset:
         assert action.num_frames == 2
         np.testing.assert_array_equal(action.samples, [[1, 2], [3, 4]])
 
+    def test_first_row_with_a_numeric_cell_is_data(self, tmp_path):
+        manifest = write_dataset(tmp_path, [("bad.csv", "1.0,,2.0\n3,4,5\n6,7,8\n", {})])
+        with pytest.raises(DatasetError, match=r"bad\.csv, line 1: non-numeric value ''"):
+            load_dataset(manifest)
+
+    def test_underscore_digit_separator_rejected(self, tmp_path):
+        # the header's underscore is fine; float() would read the data cell 1_0 as 10.0
+        manifest = write_dataset(tmp_path, [("bad.csv", "left_hip,knee\n1,2\n1_0,4\n", {})])
+        with pytest.raises(DatasetError, match=r"bad\.csv, line 3: non-numeric value '1_0'"):
+            load_dataset(manifest)
+
     def test_crlf_accepted(self, tmp_path):
         manifest = write_dataset(tmp_path, [("a.csv", "1,2\r\n3,4\r\n", {})])
         np.testing.assert_array_equal(load_dataset(manifest)[0].samples, [[1, 2], [3, 4]])

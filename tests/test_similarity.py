@@ -198,7 +198,7 @@ class TestSimilarityMatrix:
                         expected = csm(descs[q], descs[r])
                     else:
                         expected = baseline_distance(descs[q], descs[r], spec)
-                    assert matrix[q, r] == pytest.approx(expected, abs=1e-10)
+                    assert matrix[q, r] == expected
 
     def test_mixed_jm_rejected(self, rng):
         a = random_descriptors(rng, 1, jm=3)[0]
