@@ -61,7 +61,7 @@ def _add_filter_flags(parser) -> None:
 def _filter_spec(args) -> FilterSpec | None:
     if args.no_filter:
         return None
-    return FilterSpec(cutoff_hz=args.filter_cutoff, order=args.filter_order, zero_phase=True)
+    return FilterSpec(cutoff_hz=args.filter_cutoff, order=args.filter_order)
 
 
 def _load_actions(args):

@@ -26,10 +26,16 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class SplitPlan:
-    """A partition of dataset indices into (train, test) folds."""
+    """A partition of dataset indices into (train, test) folds, none of them empty."""
 
     kind: str
     folds: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    def __post_init__(self) -> None:
+        for n, (train, test) in enumerate(self.folds):
+            for part, items in (("training", train), ("test", test)):
+                if len(items) == 0:
+                    raise ValueError(f"fold {n} of the {self.kind!r} plan has an empty {part} set")
 
     @staticmethod
     def stratified_kfold(labels, k: int, seed: int) -> "SplitPlan":
@@ -84,8 +90,6 @@ class SplitPlan:
         test = np.array(
             [i for i, s in enumerate(subject_ids) if s not in train_set], dtype=np.intp
         )
-        if train.size == 0:
-            raise ValueError("training split is empty")
         if test.size == 0:
             raise ValueError("every subject is in the training set; test split is empty")
         return SplitPlan("cross-subject", ((train, test),))
@@ -340,7 +344,8 @@ def noise_sweep(
         raise ValueError("dataset is empty")
     prep = preprocess if preprocess is not None else (lambda action: action)
     labels = [a.class_label for a in dataset]
-    clean, _ = _describe((prep(a) for a in dataset), jm)
+    # with corrupt_train the clean pool is never scored, so it is not described
+    clean = None if corrupt_train else _describe((prep(a) for a in dataset), jm)[0]
     rows = []
     for s_idx, sigma in enumerate(sigmas):
         noisy, descriptor_time = _describe(

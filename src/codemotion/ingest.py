@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -73,20 +73,7 @@ class DatasetManifest:
                 )
 
     def to_json(self, path) -> None:
-        payload = {
-            "dataset_name": self.dataset_name,
-            "entries": [
-                {
-                    "path": e.path,
-                    "class_label": e.class_label,
-                    "subject_id": e.subject_id,
-                    "action_id": e.action_id,
-                    "frame_rate": e.frame_rate,
-                    "angle_unit": e.angle_unit,
-                }
-                for e in self.entries
-            ],
-        }
+        payload = {"dataset_name": self.dataset_name, "entries": [asdict(e) for e in self.entries]}
         Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -122,38 +109,50 @@ def load_manifest(path) -> DatasetManifest:
 
 
 def _read_csv_matrix(path: Path) -> np.ndarray:
-    """Parse one action CSV: comma-separated decimals, optional auto-detected header."""
-    lines = path.read_text(encoding="utf-8").splitlines()
-    rows: list[list[float]] = []
-    width = None
-    header_allowed = True
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        cells = [c.strip() for c in line.split(",")]
+    """Parse one action CSV: comma-separated decimals, optional auto-detected header.
+
+    A first row none of whose cells is numeric is a header. The other
+    non-blank rows convert in one call; a file whose conversion fails, whose
+    data holds an underscore or a non-finite value is scanned line by line so
+    the error names the first bad line.
+    """
+    numbered = [
+        (line_no, line)
+        for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if line.strip()
+    ]
+    if numbered and not any(_is_number(c) for c in numbered[0][1].split(",")):
+        del numbered[0]
+    if not numbered:
+        raise DatasetError(f"{path}: no numeric rows")
+    # float() reads digit separators ('1_0' as 10.0), so an underscore goes to the scan
+    if not any("_" in line for _, line in numbered):
         try:
-            if "_" in line:
-                raise ValueError  # float() reads digit separators: '1_0' as 10.0
-            values = [float(c) for c in cells]
-        except ValueError:
-            numeric = [_is_number(c) for c in cells]
-            if header_allowed and not any(numeric):
-                header_allowed = False  # only a first row without any numeric cell is a header
-                continue
+            samples = np.array([line.split(",") for _, line in numbered], dtype=np.float64)
+            if np.isfinite(samples).all():
+                return samples
+        except ValueError:  # a non-numeric cell or a ragged row
+            pass
+    return _scan_rows(path, numbered)
+
+
+def _scan_rows(path: Path, numbered) -> np.ndarray:
+    """Check each line for non-numeric, non-finite and column-count faults, in that order."""
+    rows: list[list[float]] = []
+    for line_no, line in numbered:
+        cells = [c.strip() for c in line.split(",")]
+        numeric = [_is_number(c) for c in cells]
+        if not all(numeric):
             bad = cells[numeric.index(False)]
-            raise DatasetError(f"{path}, line {line_no}: non-numeric value {bad!r}") from None
-        header_allowed = False
-        if any(not math.isfinite(v) for v in values):
+            raise DatasetError(f"{path}, line {line_no}: non-numeric value {bad!r}")
+        values = [float(c) for c in cells]
+        if not all(math.isfinite(v) for v in values):
             raise DatasetError(f"{path}, line {line_no}: non-finite value")
-        if width is None:
-            width = len(values)
-        elif len(values) != width:
+        if rows and len(values) != len(rows[0]):
             raise DatasetError(
-                f"{path}, line {line_no}: expected {width} columns, got {len(values)}"
+                f"{path}, line {line_no}: expected {len(rows[0])} columns, got {len(values)}"
             )
         rows.append(values)
-    if not rows:
-        raise DatasetError(f"{path}: no numeric rows")
     return np.array(rows, dtype=np.float64)
 
 
@@ -209,11 +208,10 @@ def load_dataset(manifest_path) -> list[ActionMatrix]:
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """Low-pass Butterworth configuration; forward-backward by default for zero phase lag."""
+    """Low-pass Butterworth configuration; the filter always runs forward and backward."""
 
     cutoff_hz: float = 10.0
     order: int = 2
-    zero_phase: bool = True
 
     def __post_init__(self) -> None:
         if not self.cutoff_hz > 0:
@@ -224,11 +222,13 @@ class FilterSpec:
 
 
 def butterworth_filter(action: ActionMatrix, spec: FilterSpec = FilterSpec()) -> ActionMatrix:
-    """Low-pass every joint column; zero-phase mode filters forward and backward.
+    """Zero-phase low-pass of every joint column, run as second-order sections.
 
     Forward-backward filtering doubles the effective order and removes
-    phase lag, which keeps velocity extrema aligned in time. Edges are
-    padded by reflection for one settling length and trimmed afterwards.
+    phase lag, which keeps velocity extrema aligned in time. Second-order
+    sections stay stable at high orders and low cutoffs, where the
+    (b, a) transfer-function form overflows. Edges are padded by reflection
+    for one settling length and trimmed afterwards.
     """
     nyquist = action.frame_rate / 2.0
     if not spec.cutoff_hz < nyquist:
@@ -236,13 +236,9 @@ def butterworth_filter(action: ActionMatrix, spec: FilterSpec = FilterSpec()) ->
             f"cutoff {spec.cutoff_hz} Hz must stay below the Nyquist frequency "
             f"{nyquist} Hz of a {action.frame_rate} Hz recording"
         )
-    b, a = signal.butter(spec.order, spec.cutoff_hz, btype="low", fs=action.frame_rate)
-    if spec.zero_phase:
-        pad = min(3 * (spec.order + 1), action.num_frames - 1)
-        filtered = signal.filtfilt(b, a, action.samples, axis=0, padlen=pad)
-    else:
-        filtered = signal.lfilter(b, a, action.samples, axis=0)
-    return action.with_samples(filtered)
+    sos = signal.butter(spec.order, spec.cutoff_hz, btype="low", fs=action.frame_rate, output="sos")
+    pad = min(3 * (spec.order + 1), action.num_frames - 1)
+    return action.with_samples(signal.sosfiltfilt(sos, action.samples, axis=0, padlen=pad))
 
 
 @dataclass(frozen=True)
@@ -386,7 +382,7 @@ def save_dataset(actions, manifest: DatasetManifest, out_dir) -> Path:
         action = by_id.get(entry.action_id)
         if action is None:
             raise DatasetError(f"manifest entry {entry.action_id!r} has no matching action")
-        lines = [",".join(repr(float(v)) for v in row) for row in action.samples]
+        lines = [",".join(map(repr, row)) for row in action.samples.tolist()]
         (out_dir / entry.path).write_text("\n".join(lines) + "\n", encoding="utf-8")
     manifest_path = out_dir / "manifest.json"
     manifest.to_json(manifest_path)

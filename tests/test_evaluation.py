@@ -187,7 +187,7 @@ class TestKnn1:
 
     def test_empty_training_rejected(self, rng):
         actions = [random_action(rng, joints=6, frames=20) for _ in range(2)]
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ValueError, match="fold 0 of the 'one-fold' plan has an empty training set"):
             evaluate(actions, jm=3, spec=CSM, plan=one_fold([], [0, 1]))
 
     def test_tie_goes_to_lowest_index(self, rng):
@@ -331,6 +331,23 @@ class TestNoiseSweep:
         plan = SplitPlan.stratified_kfold([a.class_label for a in actions], k=3, seed=0)
         rows = noise_sweep(actions, [0.0, 2.0, 5.0], jm=2, spec=CSM, plan=plan, seed=1)
         assert [r.sigma_deg for r in rows] == [0.0, 2.0, 5.0]
+
+    @pytest.mark.parametrize("corrupt_train, expected", [(True, 16), (False, 24)])
+    def test_clean_pool_described_only_when_scored(self, monkeypatch, corrupt_train, expected):
+        # 8 actions x 2 sigmas of noisy descriptors, plus 8 clean ones unless corrupt_train
+        real = evaluation.compute_descriptor
+        calls = []
+
+        def counting(action, jm):
+            calls.append(action)
+            return real(action, jm)
+
+        monkeypatch.setattr(evaluation, "compute_descriptor", counting)
+        actions = disjoint_dataset(per_class=4)
+        plan = SplitPlan.stratified_kfold([a.class_label for a in actions], k=4, seed=0)
+        noise_sweep(actions, [0.0, 1.0], jm=2, spec=CSM, plan=plan, seed=1,
+                    corrupt_train=corrupt_train)
+        assert len(calls) == expected
 
     def test_corrupt_train_flag_changes_training_pool(self):
         actions = disjoint_dataset(per_class=4)

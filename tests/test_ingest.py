@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from codemotion import (
+    ActionMatrix,
     DatasetError,
     FilterSpec,
     SyntheticConfig,
@@ -124,6 +125,24 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="non-finite"):
             load_dataset(manifest)
 
+    @pytest.mark.parametrize("row, message", [
+        ("3", "expected 2 columns, got 1"),
+        ("3,oops", "non-numeric value 'oops'"),
+        ("1_0,4", "non-numeric value '1_0'"),
+        ("nan,4", "non-finite value"),
+        ("4,inf", "non-finite value"),
+    ])
+    def test_bad_row_after_blank_line_names_its_line(self, tmp_path, row, message):
+        # line numbers count blank lines; the good row after the bad one is never reached
+        manifest = write_dataset(tmp_path, [("bad.csv", f"1,2\n\n{row}\n5,6\n", {})])
+        with pytest.raises(DatasetError, match=rf"bad\.csv, line 3: {message}"):
+            load_dataset(manifest)
+
+    def test_header_only_file_rejected(self, tmp_path):
+        manifest = write_dataset(tmp_path, [("bad.csv", "hip,knee\n\n", {})])
+        with pytest.raises(DatasetError, match=r"bad\.csv: no numeric rows"):
+            load_dataset(manifest)
+
 
 class TestButterworthFilter:
     def test_constant_column_unchanged(self):
@@ -171,10 +190,14 @@ class TestButterworthFilter:
         separate = butterworth_filter(a, spec).samples + butterworth_filter(b, spec).samples
         np.testing.assert_allclose(combined.samples, separate, atol=1e-9)
 
-    def test_causal_mode_runs(self, rng):
-        action = random_action(rng, joints=2, frames=100, frame_rate=60.0)
-        filtered = butterworth_filter(action, FilterSpec(cutoff_hz=10.0, zero_phase=False))
-        assert filtered.samples.shape == action.samples.shape
+    def test_high_order_low_cutoff_stays_bounded(self):
+        # order 10 at 1 Hz of 240 Hz: the (b, a) form filtered this walk to ~1e44
+        walk = np.cumsum(np.random.default_rng(5).standard_normal(2400))
+        walk = 150.0 * (walk - walk.min()) / (walk.max() - walk.min())
+        action = ActionMatrix(walk[:, None], frame_rate=240.0)
+        filtered = butterworth_filter(action, FilterSpec(cutoff_hz=1.0, order=10)).samples
+        assert np.isfinite(filtered).all()
+        assert filtered.min() >= -50.0 and filtered.max() <= 200.0
 
     def test_short_signal_supported(self):
         action = random_action(np.random.default_rng(1), joints=2, frames=5, frame_rate=60.0)
