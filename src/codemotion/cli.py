@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
-import time
 from pathlib import Path
 
-from .descriptor import DegenerateActionError, compute_descriptor, stacked_length
-from .evaluation import SplitPlan, evaluate, mij_sweep, noise_sweep
+from .descriptor import DegenerateActionError, stacked_length
+from .evaluation import SplitPlan, _describe, evaluate, mij_sweep, noise_sweep
 from .ingest import (
     DatasetError,
     FilterSpec,
@@ -34,19 +33,6 @@ class _Parser(argparse.ArgumentParser):
 def _fmt(value: float) -> str:
     """Full-precision text for CSV cells (repr round-trips float64 exactly)."""
     return repr(float(value))
-
-
-def _workers() -> int:
-    raw = os.environ.get("CODE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"CODE_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"CODE_THREADS must be at least 1, got {value}")
-    return value
 
 
 def _add_filter_flags(parser) -> None:
@@ -78,6 +64,22 @@ def _metric_spec(args) -> MetricSpec:
 
 def _csv_list(text: str) -> list[str]:
     return [item.strip() for item in text.split(",") if item.strip()]
+
+
+def _list_flag(text: str, flag: str, parse=str) -> list:
+    """The parsed values of a comma-separated list flag, none of them repeated, at least one."""
+    values = []
+    for item in _csv_list(text):
+        try:
+            value = parse(item)
+        except ValueError:
+            raise ValueError(f"{flag}: invalid value {item!r}") from None
+        if value in values:
+            raise ValueError(f"{flag}: value {item!r} repeats an earlier value")
+        values.append(value)
+    if not values:
+        raise ValueError(f"{flag}: the list is empty")
+    return values
 
 
 def _write_csv(path, header, rows) -> None:
@@ -141,9 +143,7 @@ def cmd_describe(args) -> int:
         owners[name] = action.action_id
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
-    descriptors = [compute_descriptor(a, args.jm) for a in actions]
-    elapsed = time.perf_counter() - t0
+    descriptors, elapsed = _describe(actions, args.jm)
     for action, desc, name in zip(actions, descriptors, names):
         payload = {
             "action_id": action.action_id,
@@ -180,7 +180,7 @@ def _evaluate_split(args, split, protocol):
     """
     actions = _load_actions(args)
     spec = _metric_spec(args)
-    report = evaluate(actions, args.jm, spec, split(actions), workers=_workers())
+    report = evaluate(actions, args.jm, spec, split(actions))
     protocol.update(
         jm=args.jm,
         metric=args.metric,
@@ -219,9 +219,9 @@ def cmd_cross_subject(args) -> int:
 
 def cmd_sweep(args) -> int:
     actions = _load_actions(args)
-    jm_values = [int(x) for x in _csv_list(args.jm)]
-    metrics = _csv_list(args.metric)
-    features = _csv_list(args.features)
+    jm_values = _list_flag(args.jm, "--jm", int)
+    metrics = _list_flag(args.metric, "--metric")
+    features = _list_flag(args.features, "--features")
     specs = []
     for metric in metrics:
         if metric == Metric.CSM.value:
@@ -229,7 +229,7 @@ def cmd_sweep(args) -> int:
         else:
             specs.extend(MetricSpec.parse(metric, f) for f in features)
     plan = SplitPlan.stratified_kfold([a.class_label for a in actions], args.folds, args.seed)
-    cells = mij_sweep(actions, jm_values, specs, plan, workers=_workers())
+    cells = mij_sweep(actions, jm_values, specs, plan)
     rows = [
         (
             cell.jm,
@@ -256,9 +256,9 @@ def cmd_sweep(args) -> int:
 def cmd_noise(args) -> int:
     actions = load_dataset(args.manifest)  # raw: noise must land before filtering
     spec = _metric_spec(args)
-    sigmas = sorted(float(x) for x in _csv_list(args.sigmas))
-    if any(s < 0 for s in sigmas):
-        raise ValueError("noise standard deviations must be non-negative")
+    sigmas = sorted(_list_flag(args.sigmas, "--sigmas", float))
+    if not all(math.isfinite(s) and s >= 0 for s in sigmas):
+        raise ValueError("--sigmas: noise standard deviations must be finite and non-negative")
     filter_spec = _filter_spec(args)
     prep = None if filter_spec is None else (lambda a: butterworth_filter(a, filter_spec))
     plan = SplitPlan.stratified_kfold([a.class_label for a in actions], args.folds, args.seed)
@@ -271,7 +271,6 @@ def cmd_noise(args) -> int:
         seed=args.seed,
         preprocess=prep,
         corrupt_train=args.corrupt_train,
-        workers=_workers(),
     )
     _write_csv(
         args.out,

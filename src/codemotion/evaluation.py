@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,52 +207,45 @@ def _describe(dataset, jm: int) -> tuple[list[CodeDescriptor], float]:
     return descriptors, time.perf_counter() - t0
 
 
-def _classify(queries, references, labels, spec, plan, workers, descriptor_time) -> EvalReport:
+def _classify(queries, references, labels, spec, plan, descriptor_time) -> EvalReport:
     """1-NN over every fold of ``plan``, the one classification step of every protocol.
 
-    A fold's test items are scored as ``queries[i]`` against its training
-    items ``references[j]``; ties go to the lowest training index. With
-    ``workers > 1`` folds run in threads, with results identical to the
-    sequential order.
+    One matrix scores every fold's test items ``queries[i]`` against every
+    fold's training items ``references[j]``; each fold reads its
+    ``[test, train]`` block from it. Ties go to the earliest item of the
+    fold's training list.
     """
     class_labels = sorted(set(labels))
     class_index = {c: i for i, c in enumerate(class_labels)}
-
-    def fold_confusion(fold):
-        train_idx, test_idx = fold
-        matrix = similarity_matrix(
-            [queries[i] for i in test_idx], [references[i] for i in train_idx], spec
-        )
-        best = matrix.argmax(axis=1) if spec.higher_is_better else matrix.argmin(axis=1)
-        conf = np.zeros((len(class_labels), len(class_labels)), dtype=np.int64)
-        for row, i in enumerate(test_idx):
-            predicted = labels[int(train_idx[int(best[row])])]
-            conf[class_index[labels[int(i)]], class_index[predicted]] += 1
-        return conf
-
     t0 = time.perf_counter()
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            fold_confusions = list(pool.map(fold_confusion, plan.folds))
-    else:
-        fold_confusions = [fold_confusion(fold) for fold in plan.folds]
+    # The union also scores each fold's test items against each other, cells no
+    # fold reads; one call is still cheaper than one per fold at workload scale.
+    rows = np.unique(np.concatenate([test for _, test in plan.folds]))
+    cols = np.unique(np.concatenate([train for train, _ in plan.folds]))
+    matrix = similarity_matrix([queries[i] for i in rows], [references[j] for j in cols], spec)
+    fold_confusions = []
+    for train, test in plan.folds:
+        block = matrix[np.ix_(np.searchsorted(rows, test), np.searchsorted(cols, train))]
+        best = block.argmax(axis=1) if spec.higher_is_better else block.argmin(axis=1)
+        conf = np.zeros((len(class_labels), len(class_labels)), dtype=np.int64)
+        for i, b in zip(test, best):
+            conf[class_index[labels[int(i)]], class_index[labels[int(train[b])]]] += 1
+        fold_confusions.append(conf)
     classify_time = time.perf_counter() - t0
     return _aggregate_report(fold_confusions, descriptor_time, classify_time, class_labels)
 
 
-def evaluate(dataset, jm: int, spec: MetricSpec, plan: SplitPlan, workers: int = 1) -> EvalReport:
+def evaluate(dataset, jm: int, spec: MetricSpec, plan: SplitPlan) -> EvalReport:
     """Run 1-NN classification over every fold of a plan and aggregate the metrics.
 
-    Descriptors are computed once for the whole dataset. Folds are
-    independent; with ``workers > 1`` they run in threads with results
-    identical to the sequential order.
+    Descriptors are computed, and scored, once for the whole dataset.
     """
     dataset = list(dataset)
     if not dataset:
         raise ValueError("dataset is empty")
     descriptors, descriptor_time = _describe(dataset, jm)
     labels = [a.class_label for a in dataset]
-    return _classify(descriptors, descriptors, labels, spec, plan, workers, descriptor_time)
+    return _classify(descriptors, descriptors, labels, spec, plan, descriptor_time)
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,7 +259,7 @@ class SweepCell:
     descriptor_len: int
 
 
-def mij_sweep(dataset, jm_values, specs, plan: SplitPlan, workers: int = 1) -> list[SweepCell]:
+def mij_sweep(dataset, jm_values, specs, plan: SplitPlan) -> list[SweepCell]:
     """Evaluate every (jm, spec) combination; also reports the stacked descriptor size.
 
     Descriptors are computed once per jm and shared by all specs.
@@ -284,7 +276,7 @@ def mij_sweep(dataset, jm_values, specs, plan: SplitPlan, workers: int = 1) -> l
     for jm in jm_values:
         descriptors, descriptor_time = _describe(dataset, jm)
         for spec in specs:
-            report = _classify(descriptors, descriptors, labels, spec, plan, workers, descriptor_time)
+            report = _classify(descriptors, descriptors, labels, spec, plan, descriptor_time)
             cells.append(
                 SweepCell(
                     jm=int(jm),
@@ -328,7 +320,6 @@ def noise_sweep(
     seed: int,
     preprocess=None,
     corrupt_train: bool = False,
-    workers: int = 1,
 ) -> list[NoiseRow]:
     """Accuracy as a function of injected noise level.
 
@@ -336,8 +327,7 @@ def noise_sweep(
     filter) runs afterwards, so the injection-before-filtering ordering
     holds by construction. By default only test items are corrupted;
     ``corrupt_train`` extends the corruption to the training pool. The
-    per-item noise streams derive from (seed, sigma index, item index),
-    independent of scheduling order.
+    per-item noise streams derive from (seed, sigma index, item index) alone.
     """
     dataset = list(dataset)
     if not dataset:
@@ -352,8 +342,6 @@ def noise_sweep(
             (prep(inject_agwn(a, float(sigma), seed=[seed, s_idx, i])) for i, a in enumerate(dataset)),
             jm,
         )
-        report = _classify(
-            noisy, noisy if corrupt_train else clean, labels, spec, plan, workers, descriptor_time
-        )
+        report = _classify(noisy, noisy if corrupt_train else clean, labels, spec, plan, descriptor_time)
         rows.append(NoiseRow(float(sigma), report.accuracy_mean, report.accuracy_std))
     return rows

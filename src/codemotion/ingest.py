@@ -88,6 +88,8 @@ def load_manifest(path) -> DatasetManifest:
         raise DatasetError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(payload, dict) or "entries" not in payload:
         raise DatasetError(f"{path}: manifest must be an object with an 'entries' list")
+    if not isinstance(payload["entries"], list) or not payload["entries"]:
+        raise DatasetError(f"{path}: 'entries' must be a non-empty list")
     entries = []
     for n, raw in enumerate(payload["entries"]):
         try:

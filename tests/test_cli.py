@@ -244,6 +244,19 @@ class TestSweep:
         captured = capsys.readouterr().out
         assert "csm" in captured and "manhattan" in captured
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--jm", ","), ("--jm", "2,2"), ("--jm", "2,02"), ("--jm", "two"),
+        ("--metric", ""), ("--metric", "csm,csm"),
+        ("--features", ","), ("--features", "var, var"),
+    ])
+    def test_empty_or_repeated_list_is_input_error(self, synth_dir, tmp_path, capsys, flag, value):
+        out = tmp_path / "sweep.csv"
+        code = run("sweep", "--manifest", synth_dir / "manifest.json",
+                   "--folds", 4, "--seed", 3, flag, value, "--out", out)
+        assert code == 1
+        assert f"error: {flag}: " in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestNoise:
     def test_sigma_zero_matches_crossval(self, synth_dir, tmp_path):
@@ -274,6 +287,15 @@ class TestNoise:
         assert code == 1
         assert "non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [",", "", "1,1", "0,0.0", "x", "nan", "nan,nan", "inf"])
+    def test_empty_repeated_or_non_finite_sigmas_is_input_error(self, synth_dir, tmp_path, capsys, value):
+        out = tmp_path / "noise.csv"
+        code = run("noise", "--manifest", synth_dir / "manifest.json",
+                   "--jm", 3, "--folds", 4, "--seed", 3, "--sigmas", value, "--out", out)
+        assert code == 1
+        assert "error: --sigmas: " in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_missing_manifest_is_input_error(self, tmp_path, capsys):
@@ -281,6 +303,16 @@ class TestExitCodes:
                    "--jm", 3, "--out", tmp_path / "out")
         assert code == 1
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entries", [5, None, []])
+    def test_malformed_entries_is_input_error(self, tmp_path, capsys, entries):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"dataset_name": "x", "entries": entries}))
+        out = tmp_path / "desc"
+        assert run("describe", "--manifest", manifest, "--jm", 3, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert f"{manifest}: 'entries' must be a non-empty list" in err
+        assert not out.exists()
 
     def test_unknown_flag_is_input_error(self, capsys):
         assert run("describe", "--bogus") == 1
@@ -315,23 +347,3 @@ class TestExitCodes:
         for row in csv.DictReader(out.open()):
             value = row["accuracy_mean"]
             assert float(value) == float(repr(float(value)))  # repr round-trip
-
-    def test_code_threads_env_validated(self, synth_dir, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("CODE_THREADS", "lots")
-        code = run("crossval", "--manifest", synth_dir / "manifest.json",
-                   "--jm", 3, "--folds", 4, "--seed", 3, "--out", tmp_path / "x.json")
-        assert code == 1
-        assert "CODE_THREADS" in capsys.readouterr().err
-
-    def test_code_threads_parallel_matches_sequential(self, synth_dir, tmp_path, monkeypatch):
-        out_seq = tmp_path / "seq.json"
-        assert run("crossval", "--manifest", synth_dir / "manifest.json",
-                   "--jm", 3, "--folds", 4, "--seed", 3, "--out", out_seq) == 0
-        monkeypatch.setenv("CODE_THREADS", "4")
-        out_par = tmp_path / "par.json"
-        assert run("crossval", "--manifest", synth_dir / "manifest.json",
-                   "--jm", 3, "--folds", 4, "--seed", 3, "--out", out_par) == 0
-        seq = json.loads(out_seq.read_text())
-        par = json.loads(out_par.read_text())
-        assert seq["accuracy"] == par["accuracy"]
-        assert seq["confusion"] == par["confusion"]

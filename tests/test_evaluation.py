@@ -13,6 +13,7 @@ from codemotion import (
     inject_agwn,
     mij_sweep,
     noise_sweep,
+    similarity_matrix,
 )
 from codemotion import evaluation
 from oracles import csm_score
@@ -159,14 +160,6 @@ class TestEvaluate:
         np.testing.assert_array_equal(r1.confusion, r2.confusion)
         assert r1.fold_accuracies == r2.fold_accuracies
 
-    def test_parallel_matches_sequential(self):
-        actions = disjoint_dataset(per_class=5)
-        plan = SplitPlan.stratified_kfold([a.class_label for a in actions], k=5, seed=0)
-        seq = evaluate(actions, jm=2, spec=CSM, plan=plan, workers=1)
-        par = evaluate(actions, jm=2, spec=CSM, plan=plan, workers=4)
-        np.testing.assert_array_equal(seq.confusion, par.confusion)
-        assert seq.fold_accuracies == par.fold_accuracies
-
     def test_report_dict_schema(self):
         actions = disjoint_dataset(per_class=4)
         plan = SplitPlan.stratified_kfold([a.class_label for a in actions], k=4, seed=5)
@@ -227,28 +220,71 @@ class TestKnn1:
 
 class TestOneClassificationPath:
     def test_each_protocol_scores_every_fold_of_every_variant_once(self, monkeypatch):
-        # evaluate, mij_sweep and noise_sweep share one 1-NN step; each fold of
-        # each (jm, spec) or sigma variant is one similarity_matrix call
+        # evaluate, mij_sweep and noise_sweep share one 1-NN step; each
+        # (jm, spec) or sigma variant is one similarity_matrix call over the
+        # whole pool, n x n for k-fold, which every fold slices
         real = evaluation.similarity_matrix
         calls = []
 
         def counting(queries, references, spec):
-            calls.append(spec)
+            queries, references = list(queries), list(references)
+            calls.append((spec, len(queries), len(references)))
             return real(queries, references, spec)
 
         monkeypatch.setattr(evaluation, "similarity_matrix", counting)
         actions = disjoint_dataset(per_class=4)
+        n = len(actions)
         plan = SplitPlan.stratified_kfold([a.class_label for a in actions], k=4, seed=0)
         manhattan = MetricSpec(Metric.MANHATTAN, FeatureSet.VARIANCE)
 
-        evaluate(actions, jm=2, spec=CSM, plan=plan, workers=2)
-        assert calls == [CSM] * 4
+        evaluate(actions, jm=2, spec=CSM, plan=plan)
+        assert calls == [(CSM, n, n)]
         calls.clear()
-        mij_sweep(actions, [2, 3], [CSM, manhattan], plan, workers=2)
-        assert calls == ([CSM] * 4 + [manhattan] * 4) * 2
+        mij_sweep(actions, [2, 3], [CSM, manhattan], plan)
+        assert calls == [(CSM, n, n), (manhattan, n, n)] * 2
         calls.clear()
-        noise_sweep(actions, [0.0, 1.0, 2.0], jm=2, spec=CSM, plan=plan, seed=1, workers=2)
-        assert calls == [CSM] * 4 * 3
+        noise_sweep(actions, [0.0, 1.0, 2.0], jm=2, spec=CSM, plan=plan, seed=1)
+        assert calls == [(CSM, n, n)] * 3
+
+    def test_fold_blocks_match_per_fold_scoring(self, rng):
+        # hand-built folds that overlap and list their items out of order: each
+        # fold's predictions equal a 1-NN over its own [test, train] matrix
+        actions = [random_action(rng, joints=6, frames=20, class_label=f"c{i % 3}") for i in range(12)]
+        labels = [a.class_label for a in actions]
+        descs = [compute_descriptor(a, 3) for a in actions]
+        folds = (([7, 2, 9, 0, 4], [11, 3, 5]), ([3, 11, 1, 8], [0, 9, 6, 2]), ([5, 10, 6], [7, 1]))
+        plan = SplitPlan("hand", tuple((np.array(tr), np.array(te)) for tr, te in folds))
+        for spec in (CSM, MetricSpec(Metric.EUCLIDEAN, FeatureSet.VARIANCE_VELOCITY)):
+            report = evaluate(actions, jm=3, spec=spec, plan=plan)
+            for (train, test), conf in zip(folds, report.fold_confusions):
+                scores = similarity_matrix([descs[i] for i in test], [descs[j] for j in train], spec)
+                best = scores.argmax(axis=1) if spec.higher_is_better else scores.argmin(axis=1)
+                expected = np.zeros_like(conf)
+                for i, b in zip(test, best):
+                    expected[report.class_labels.index(labels[i]),
+                             report.class_labels.index(labels[train[b]])] += 1
+                np.testing.assert_array_equal(conf, expected)
+
+    def test_cross_subject_scores_test_items_against_training_items(self, monkeypatch):
+        real = evaluation.similarity_matrix
+        shapes = []
+
+        def recording(queries, references, spec):
+            scores = real(queries, references, spec)
+            shapes.append(scores.shape)
+            return scores
+
+        monkeypatch.setattr(evaluation, "similarity_matrix", recording)
+        actions = [
+            sine_action([j, j + 1], 8, f"c{j}", subject=f"s{r % 3}", phase=0.2 * r, seed=10 * j + r)
+            for j in range(4)
+            for r in range(5)
+        ]
+        plan = SplitPlan.cross_subject([a.subject_id for a in actions], ["s0", "s2"])
+        (train, test), = plan.folds
+        evaluate(actions, jm=2, spec=CSM, plan=plan)
+        assert shapes == [(len(test), len(train))]
+        assert len(train) + len(test) == len(actions)
 
 
 class TestMijSweep:
@@ -319,8 +355,8 @@ class TestNoiseSweep:
         # random classes, so the fold accuracies differ and their std is not trivially 0
         actions = [random_action(rng, joints=6, frames=20, class_label=f"c{i % 3}") for i in range(18)]
         plan = SplitPlan.stratified_kfold([a.class_label for a in actions], k=3, seed=0)
-        rows = noise_sweep(actions, [0.0, 1.0], jm=3, spec=CSM, plan=plan, seed=11, workers=2)
-        report = evaluate(actions, jm=3, spec=CSM, plan=plan, workers=2)
+        rows = noise_sweep(actions, [0.0, 1.0], jm=3, spec=CSM, plan=plan, seed=11)
+        report = evaluate(actions, jm=3, spec=CSM, plan=plan)
         assert report.accuracy_std > 0.0
         assert rows[0].sigma_deg == 0.0
         assert rows[0].accuracy_mean == report.accuracy_mean

@@ -183,6 +183,21 @@ class TestSimilarityMatrix:
         assert np.count_nonzero(expected) > len(descs)  # some off-diagonal pairs share MIJ pairs
         np.testing.assert_allclose(matrix, expected, rtol=0, atol=1e-12)
 
+    def test_csm_exact_on_a_pool_sized_matrix(self, rng):
+        # 300 x 300 descriptors at J = 60, jm = 20
+        queries = random_descriptors(rng, 300, jm=20, joints=60)
+        references = random_descriptors(rng, 300, jm=20, joints=60)
+        spec = MetricSpec(Metric.CSM)
+        matrix = similarity_matrix(queries, references, spec)
+        assert_same_bits(matrix, similarity_matrix(references, queries, spec).T)
+        # csm() takes milliseconds per call, so it checks one cell per row;
+        # the oracle checks five per row
+        cols = rng.integers(0, len(references), size=(len(queries), 5))
+        for i, q in enumerate(queries):
+            assert matrix[i, cols[i, 0]] == csm(q, references[cols[i, 0]])
+            for j in cols[i]:
+                assert abs(matrix[i, j] - csm_score(q, references[j])) <= 1e-12
+
     def test_matches_double_loop_oracle(self, rng):
         descs = random_descriptors(rng, 5, jm=3, joints=6)
         specs = [
