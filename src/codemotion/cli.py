@@ -54,7 +54,7 @@ def _load_actions(args):
     actions = load_dataset(args.manifest)
     spec = _filter_spec(args)
     if spec is not None:
-        actions = [butterworth_filter(a, spec) for a in actions]
+        actions = butterworth_filter(actions, spec)
     return actions
 
 
@@ -260,7 +260,7 @@ def cmd_noise(args) -> int:
     if not all(math.isfinite(s) and s >= 0 for s in sigmas):
         raise ValueError("--sigmas: noise standard deviations must be finite and non-negative")
     filter_spec = _filter_spec(args)
-    prep = None if filter_spec is None else (lambda a: butterworth_filter(a, filter_spec))
+    prep = None if filter_spec is None else (lambda pool: butterworth_filter(pool, filter_spec))
     plan = SplitPlan.stratified_kfold([a.class_label for a in actions], args.folds, args.seed)
     rows = noise_sweep(
         actions,

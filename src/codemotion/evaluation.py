@@ -325,21 +325,23 @@ def noise_sweep(
 
     Noise lands on raw angles and ``preprocess`` (typically the low-pass
     filter) runs afterwards, so the injection-before-filtering ordering
-    holds by construction. By default only test items are corrupted;
-    ``corrupt_train`` extends the corruption to the training pool. The
-    per-item noise streams derive from (seed, sigma index, item index) alone.
+    holds by construction. ``preprocess`` maps a whole pool of actions to a
+    list of the same length and order, so a batched filter handles one pool
+    per call. By default only test items are corrupted; ``corrupt_train``
+    extends the corruption to the training pool. The per-item noise streams
+    derive from (seed, sigma index, item index) alone.
     """
     dataset = list(dataset)
     if not dataset:
         raise ValueError("dataset is empty")
-    prep = preprocess if preprocess is not None else (lambda action: action)
+    prep = preprocess if preprocess is not None else list
     labels = [a.class_label for a in dataset]
     # with corrupt_train the clean pool is never scored, so it is not described
-    clean = None if corrupt_train else _describe((prep(a) for a in dataset), jm)[0]
+    clean = None if corrupt_train else _describe(prep(dataset), jm)[0]
     rows = []
     for s_idx, sigma in enumerate(sigmas):
         noisy, descriptor_time = _describe(
-            (prep(inject_agwn(a, float(sigma), seed=[seed, s_idx, i])) for i, a in enumerate(dataset)),
+            prep([inject_agwn(a, float(sigma), seed=[seed, s_idx, i]) for i, a in enumerate(dataset)]),
             jm,
         )
         report = _classify(noisy, noisy if corrupt_train else clean, labels, spec, plan, descriptor_time)

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import signal
 
+from .butter import lowpass_sos, sosfilt_zi
 from .descriptor import ActionMatrix
 
 __all__ = [
@@ -218,29 +219,94 @@ class FilterSpec:
     def __post_init__(self) -> None:
         if not self.cutoff_hz > 0:
             raise ValueError(f"cutoff_hz must be positive, got {self.cutoff_hz!r}")
-        if int(self.order) < 1:
-            raise ValueError(f"order must be at least 1, got {self.order!r}")
-        object.__setattr__(self, "order", int(self.order))
+        order = self.order
+        whole = isinstance(order, numbers.Integral) or (isinstance(order, float) and order.is_integer())
+        if isinstance(order, bool) or not whole:
+            raise ValueError(f"order must be a whole number, got {order!r}")
+        if order < 1:
+            raise ValueError(f"order must be at least 1, got {order!r}")
+        object.__setattr__(self, "order", int(order))
 
 
-def butterworth_filter(action: ActionMatrix, spec: FilterSpec = FilterSpec()) -> ActionMatrix:
-    """Zero-phase low-pass of every joint column, run as second-order sections.
+def butterworth_filter(actions, spec: FilterSpec = FilterSpec()) -> list[ActionMatrix]:
+    """Zero-phase low-pass of every joint column of every action, run as second-order sections.
 
     Forward-backward filtering doubles the effective order and removes
     phase lag, which keeps velocity extrema aligned in time. Second-order
     sections stay stable at high orders and low cutoffs, where the
-    (b, a) transfer-function form overflows. Edges are padded by reflection
-    for one settling length and trimmed afterwards.
+    (b, a) transfer-function form overflows. Edges are padded by odd
+    reflection for one settling length and trimmed afterwards. Actions that
+    share a frame rate and a power-of-two length class are filtered in one
+    pass; each result equals ``scipy.signal.sosfiltfilt`` of that action
+    alone, bit for bit.
     """
-    nyquist = action.frame_rate / 2.0
-    if not spec.cutoff_hz < nyquist:
-        raise ValueError(
-            f"cutoff {spec.cutoff_hz} Hz must stay below the Nyquist frequency "
-            f"{nyquist} Hz of a {action.frame_rate} Hz recording"
-        )
-    sos = signal.butter(spec.order, spec.cutoff_hz, btype="low", fs=action.frame_rate, output="sos")
-    pad = min(3 * (spec.order + 1), action.num_frames - 1)
-    return action.with_samples(signal.sosfiltfilt(sos, action.samples, axis=0, padlen=pad))
+    actions = list(actions)
+    groups: dict[tuple[float, int], list[int]] = {}
+    for i, action in enumerate(actions):
+        # The design depends on the rate. A pass runs every column for as many
+        # frames as its longest action has, so lengths in a pass stay within 2x.
+        key = (action.frame_rate, action.num_frames.bit_length())
+        if key not in groups:
+            nyquist = action.frame_rate / 2.0
+            if not spec.cutoff_hz < nyquist:
+                raise ValueError(
+                    f"cutoff {spec.cutoff_hz} Hz must stay below the Nyquist frequency "
+                    f"{nyquist} Hz of a {action.frame_rate} Hz recording "
+                    f"(action {action.action_id!r})"
+                )
+            groups[key] = []
+        groups[key].append(i)
+    pad = 3 * (spec.order + 1)
+    filtered: list[ActionMatrix] = [None] * len(actions)
+    for (rate, _), members in groups.items():
+        sos = lowpass_sos(spec.order, spec.cutoff_hz, rate)
+        for i, samples in zip(members, _sosfiltfilt([actions[i].samples for i in members], sos, pad)):
+            # Fortran order, as scipy returns it along axis 0: numpy's sums over
+            # frames, and with them the descriptors, depend on the layout
+            filtered[i] = actions[i].with_samples(np.asfortranarray(samples))
+    return filtered
+
+
+def _sosfiltfilt(signals, sos: np.ndarray, pad: int) -> list[np.ndarray]:
+    """scipy's ``sosfiltfilt(sos, x, axis=0, padlen=min(pad, T - 1))`` of every (T, J) ``x`` at once.
+
+    Each signal's odd extension is written into its own column block of one
+    buffer, left-aligned, so one pass of the filter over the buffer's rows
+    filters every column. Between the passes each block is reversed within
+    its own length. Rows past a block's length hold the filter's decaying
+    tail, which no result reads. The results are views into the buffer.
+    """
+    edges = [min(pad, len(x) - 1) for x in signals]
+    lengths = [len(x) + 2 * e for x, e in zip(signals, edges)]
+    ends = np.cumsum([x.shape[1] for x in signals]).tolist()
+    buf = np.zeros((max(lengths), ends[-1]))
+    blocks = [buf[:n, end - x.shape[1] : end] for x, n, end in zip(signals, lengths, ends)]
+    for x, e, block in zip(signals, edges, blocks):
+        np.subtract(2 * x[:1], x[e:0:-1], out=block[:e])
+        block[e:-e] = x
+        np.subtract(2 * x[-1:], x[-2 : -(e + 2) : -1], out=block[-e:])
+    zi = sosfilt_zi(sos)[:, :, None]
+    _sosfilt(sos, buf, zi * buf[0])
+    for block in blocks:
+        block[...] = block[::-1]
+    _sosfilt(sos, buf, zi * buf[0])
+    # reversed back and trimmed: rows n-1-e down to e of each block
+    return [block[len(block) - 1 - e : e - 1 : -1] for block, e in zip(blocks, edges)]
+
+
+def _sosfilt(sos: np.ndarray, x: np.ndarray, state: np.ndarray) -> None:
+    """Filter every column of ``x`` along its rows, in place, from per-section ``state`` (n, 2, J).
+
+    Transposed direct form II with the per-element operation order of
+    scipy's ``_sosfilt``, which keeps the results bit-identical to it.
+    """
+    sections = [(tuple(float(c) for c in section), z) for section, z in zip(sos, state)]
+    for row in x:
+        for (b0, b1, b2, _, a1, a2), z in sections:
+            y = b0 * row + z[0]
+            z[0] = b1 * row - a1 * y + z[1]
+            z[1] = b2 * row - a2 * y
+            row[...] = y
 
 
 @dataclass(frozen=True)

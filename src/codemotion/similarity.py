@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .descriptor import CodeDescriptor
 
@@ -130,8 +129,13 @@ def similarity_matrix(queries, references, spec: MetricSpec) -> np.ndarray:
         return _csm_matrix(queries, references)
     feats_q = np.stack([_feature_vector(d, spec.features) for d in queries])
     feats_r = np.stack([_feature_vector(d, spec.features) for d in references])
-    metric = "cityblock" if spec.kind is Metric.MANHATTAN else "euclidean"
-    return cdist(feats_q, feats_r, metric=metric)
+    # Each cell sums its features one at a time, in feature order, from 0.0:
+    # the order of scipy's cdist, so the distances equal its bit for bit.
+    total = np.zeros((len(queries), len(references)))
+    for q, r in zip(feats_q.T, feats_r.T):
+        diff = q[:, None] - r[None, :]
+        total += np.abs(diff) if spec.kind is Metric.MANHATTAN else diff * diff
+    return total if spec.kind is Metric.MANHATTAN else np.sqrt(total)
 
 
 def _mij_pairs(descriptors, num_joints: int):

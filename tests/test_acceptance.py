@@ -250,7 +250,7 @@ MHAD_TRAIN = os.environ.get("CODEMOTION_MHAD_TRAIN_SUBJECTS")
 
 
 def _filtered(actions):
-    return [butterworth_filter(a, FilterSpec(cutoff_hz=10.0)) for a in actions]
+    return butterworth_filter(actions, FilterSpec(cutoff_hz=10.0))
 
 
 @pytest.mark.skipif(not HDM05_MANIFEST, reason="set CODEMOTION_HDM05_MANIFEST to run")
@@ -295,7 +295,7 @@ def test_criterion_8_noise_robustness(synthetic_dataset):
         spec=CSM_SPEC,
         plan=plan,
         seed=99,
-        preprocess=lambda a: butterworth_filter(a, spec),
+        preprocess=lambda pool: butterworth_filter(pool, spec),
     )
     acc = {row.sigma_deg: row.accuracy_mean for row in rows}
     drop_ok = acc[5.0] >= acc[0.0] - 0.10

@@ -1,7 +1,10 @@
 import csv
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,8 +13,21 @@ from codemotion import load_dataset
 from codemotion.cli import main
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run(*args):
     return main([str(a) for a in args])
+
+
+def run_python(code, *args):
+    """``python -c code args...`` with the package on the path; returns stdout, failing on a non-zero exit."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
 
 
 @pytest.fixture(scope="module")
@@ -297,6 +313,49 @@ class TestNoise:
         assert not out.exists()
 
 
+class TestScipyFreeRuntime:
+    def test_cli_import_loads_no_scipy(self):
+        loaded = run_python(
+            "import sys, codemotion.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        assert loaded.strip() == "[]"
+
+    def test_outputs_equal_without_scipy(self, tmp_path):
+        def commands(root):
+            data = root / "data"
+            manifest = data / "manifest.json"
+            common = ["--jm", 4, "--folds", 3, "--seed", 2, "--filter-cutoff", 8, "--filter-order", 3]
+            return [
+                ["gen-synth", "--classes", 3, "--per-class", 3, "--subjects", 2, "--joints", 8,
+                 "--frames", 50, "--frame-rate", 60, "--seed", 4, "--out-dir", data],
+                ["crossval", "--manifest", manifest, *common, "--out", root / "cv.json"],
+                ["noise", "--manifest", manifest, *common, "--sigmas", "0,3",
+                 "--metric", "manhattan", "--features", "var-vel", "--out", root / "noise.csv"],
+            ]
+
+        for argv in commands(tmp_path / "normal"):
+            assert run(*argv) == 0
+        blocked = tmp_path / "blocked"
+        run_python(
+            "import json, sys\n"
+            "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
+            "from codemotion.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n",
+            json.dumps([[str(a) for a in argv] for argv in commands(blocked)]),
+        )
+        normal_files = sorted(p.relative_to(tmp_path / "normal") for p in (tmp_path / "normal").rglob("*"))
+        assert normal_files == sorted(p.relative_to(blocked) for p in blocked.rglob("*"))
+        for rel in normal_files:
+            want, got = (tmp_path / "normal" / rel), (blocked / rel)
+            if rel.name == "cv.json":  # everything but the timing block
+                want, got = json.loads(want.read_text()), json.loads(got.read_text())
+                assert want.pop("timing").keys() == got.pop("timing").keys()
+                assert want == got
+            elif want.is_file():
+                assert want.read_bytes() == got.read_bytes(), rel
+
+
 class TestExitCodes:
     def test_missing_manifest_is_input_error(self, tmp_path, capsys):
         code = run("describe", "--manifest", tmp_path / "nope.json",
@@ -313,6 +372,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{manifest}: 'entries' must be a non-empty list" in err
         assert not out.exists()
+
+    def test_cutoff_above_nyquist_names_the_action(self, synth_dir, tmp_path, capsys):
+        def slow_fourth(entries):
+            entries[3]["frame_rate"] = 20.0
+
+        manifest = copy_dataset(synth_dir, tmp_path / "data", slow_fourth)
+        action_id = json.loads(manifest.read_text())["entries"][3]["action_id"]
+        code = run("crossval", "--manifest", manifest, "--jm", 3, "--folds", 4, "--seed", 3,
+                   "--filter-cutoff", 12, "--out", tmp_path / "cv.json")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Nyquist frequency 10.0 Hz of a 20.0 Hz recording" in err
+        assert f"(action {action_id!r})" in err
 
     def test_unknown_flag_is_input_error(self, capsys):
         assert run("describe", "--bogus") == 1

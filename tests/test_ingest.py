@@ -144,11 +144,16 @@ class TestLoadDataset:
             load_dataset(manifest)
 
 
+def lowpass(action, spec):
+    (filtered,) = butterworth_filter([action], spec)
+    return filtered
+
+
 class TestButterworthFilter:
     def test_constant_column_unchanged(self):
         action = random_action(np.random.default_rng(0), joints=2, frames=200, frame_rate=120.0)
         constant = action.with_samples(np.full((200, 2), 17.0))
-        filtered = butterworth_filter(constant, FilterSpec(cutoff_hz=10.0))
+        filtered = lowpass(constant, FilterSpec(cutoff_hz=10.0))
         np.testing.assert_allclose(filtered.samples, constant.samples, atol=1e-9)
 
     def test_passband_sinusoid_preserved(self):
@@ -156,7 +161,7 @@ class TestButterworthFilter:
         t = np.arange(int(fs * 6)) / fs
         x = 25.0 * np.sin(2 * np.pi * f * t)
         action = random_action(np.random.default_rng(0), joints=1, frames=t.size, frame_rate=fs)
-        filtered = butterworth_filter(action.with_samples(x[:, None]), FilterSpec(cutoff_hz=10.0))
+        filtered = lowpass(action.with_samples(x[:, None]), FilterSpec(cutoff_hz=10.0))
         trim = int(fs)  # drop one second per edge
         measured = np.abs(filtered.samples[trim:-trim, 0]).max()
         assert abs(measured - 25.0) / 25.0 < 0.01
@@ -166,9 +171,7 @@ class TestButterworthFilter:
         t = np.arange(int(fs * 6)) / fs
         x = 25.0 * np.sin(2 * np.pi * f * t)
         action = random_action(np.random.default_rng(0), joints=1, frames=t.size, frame_rate=fs)
-        filtered = butterworth_filter(
-            action.with_samples(x[:, None]), FilterSpec(cutoff_hz=cutoff, order=order)
-        )
+        filtered = lowpass(action.with_samples(x[:, None]), FilterSpec(cutoff_hz=cutoff, order=order))
         trim = int(fs)
         measured_gain = np.abs(filtered.samples[trim:-trim, 0]).max() / 25.0
         # analytic magnitude oracle: one pass gives 1/sqrt(1 + (f/fc)^(2n)),
@@ -180,14 +183,23 @@ class TestButterworthFilter:
     def test_cutoff_at_or_above_nyquist_rejected(self, rng):
         action = random_action(rng, frames=50, frame_rate=30.0)
         with pytest.raises(ValueError, match="Nyquist"):
-            butterworth_filter(action, FilterSpec(cutoff_hz=15.0))
+            lowpass(action, FilterSpec(cutoff_hz=15.0))
+
+    def test_nyquist_error_names_first_action_at_that_rate(self, rng):
+        pool = [
+            random_action(rng, frame_rate=120.0, action_id="fast"),
+            random_action(rng, frame_rate=30.0, action_id="slow1"),
+            random_action(rng, frame_rate=30.0, action_id="slow2"),
+        ]
+        with pytest.raises(ValueError, match=r"15\.0 Hz of a 30\.0 Hz recording \(action 'slow1'\)"):
+            butterworth_filter(pool, FilterSpec(cutoff_hz=20.0))
 
     def test_linearity(self, rng):
         a = random_action(rng, joints=3, frames=150, frame_rate=60.0)
         b = random_action(rng, joints=3, frames=150, frame_rate=60.0)
         spec = FilterSpec(cutoff_hz=10.0)
-        combined = butterworth_filter(a.with_samples(a.samples + b.samples), spec)
-        separate = butterworth_filter(a, spec).samples + butterworth_filter(b, spec).samples
+        combined = lowpass(a.with_samples(a.samples + b.samples), spec)
+        separate = lowpass(a, spec).samples + lowpass(b, spec).samples
         np.testing.assert_allclose(combined.samples, separate, atol=1e-9)
 
     def test_high_order_low_cutoff_stays_bounded(self):
@@ -195,20 +207,41 @@ class TestButterworthFilter:
         walk = np.cumsum(np.random.default_rng(5).standard_normal(2400))
         walk = 150.0 * (walk - walk.min()) / (walk.max() - walk.min())
         action = ActionMatrix(walk[:, None], frame_rate=240.0)
-        filtered = butterworth_filter(action, FilterSpec(cutoff_hz=1.0, order=10)).samples
+        filtered = lowpass(action, FilterSpec(cutoff_hz=1.0, order=10)).samples
         assert np.isfinite(filtered).all()
         assert filtered.min() >= -50.0 and filtered.max() <= 200.0
 
     def test_short_signal_supported(self):
         action = random_action(np.random.default_rng(1), joints=2, frames=5, frame_rate=60.0)
-        filtered = butterworth_filter(action, FilterSpec(cutoff_hz=10.0))
+        filtered = lowpass(action, FilterSpec(cutoff_hz=10.0))
         assert filtered.num_frames == 5
+
+    def test_pool_keeps_order_and_metadata(self, rng):
+        pool = [
+            random_action(rng, frames=frames, frame_rate=rate, action_id=f"a{i}", class_label=f"c{i}")
+            for i, (frames, rate) in enumerate([(12, 60.0), (30, 120.0), (2, 60.0), (25, 120.0)])
+        ]
+        filtered = butterworth_filter(pool, FilterSpec(cutoff_hz=5.0))
+        assert [a.action_id for a in filtered] == ["a0", "a1", "a2", "a3"]
+        for before, after in zip(pool, filtered):
+            assert after.samples.shape == before.samples.shape
+            assert (after.frame_rate, after.class_label) == (before.frame_rate, before.class_label)
+        assert butterworth_filter([], FilterSpec()) == []
 
     def test_bad_spec_rejected(self):
         with pytest.raises(ValueError):
             FilterSpec(cutoff_hz=0.0)
         with pytest.raises(ValueError):
             FilterSpec(order=0)
+
+    @pytest.mark.parametrize("order", [2.5, True, False, "2", None])
+    def test_non_integral_or_bool_order_rejected(self, order):
+        with pytest.raises(ValueError, match=f"order must be a whole number, got {order!r}"):
+            FilterSpec(order=order)
+
+    def test_whole_float_order_accepted(self):
+        assert FilterSpec(order=3.0).order == 3
+        assert FilterSpec(order=np.int64(4)).order == 4
 
 
 class TestGenerateSynthetic:
