@@ -55,7 +55,9 @@ class ActionMatrix:
     action_id: str = ""
 
     def __post_init__(self) -> None:
-        samples = np.array(self.samples, dtype=np.float64)
+        # one layout for every action: numpy's sums over frames, and with them
+        # the descriptors, depend on it
+        samples = np.array(self.samples, dtype=np.float64, order="F")
         if samples.ndim != 2:
             raise ValueError(f"samples must be 2-D (frames x joints), got shape {samples.shape}")
         frames, joints = samples.shape

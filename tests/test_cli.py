@@ -386,6 +386,15 @@ class TestExitCodes:
         assert "Nyquist frequency 10.0 Hz of a 20.0 Hz recording" in err
         assert f"(action {action_id!r})" in err
 
+    def test_non_utf8_csv_is_named(self, synth_dir, tmp_path, capsys):
+        manifest = copy_dataset(synth_dir, tmp_path / "data", lambda entries: None)
+        csv_path = manifest.parent / json.loads(manifest.read_text())["entries"][2]["path"]
+        csv_path.write_bytes(b"\xff" + csv_path.read_bytes())
+        code = run("crossval", "--manifest", manifest, "--jm", 3, "--folds", 4, "--seed", 3,
+                   "--out", tmp_path / "cv.json")
+        assert code == 1
+        assert f"{csv_path}, line 1: not UTF-8 (byte 0xff)" in capsys.readouterr().err
+
     def test_unknown_flag_is_input_error(self, capsys):
         assert run("describe", "--bogus") == 1
 

@@ -44,6 +44,13 @@ class TestActionMatrix:
         with pytest.raises(ValueError):
             action.samples[0, 0] = 1.0
 
+    def test_samples_are_a_fortran_order_copy(self):
+        source = np.arange(12.0).reshape(4, 3)
+        action = ActionMatrix(source, frame_rate=30.0)
+        source[0, 0] = 99.0
+        assert action.samples[0, 0] == 0.0
+        assert action.samples.flags.f_contiguous and not action.samples.flags.writeable
+
 
 class TestJointVariances:
     def test_constant_trajectory_has_zero_variance(self):
@@ -221,6 +228,18 @@ class TestComputeDescriptor:
         d1 = compute_descriptor(action, 5)
         d2 = compute_descriptor(action, 5)
         assert d1 == d2
+
+    def test_memory_layout_does_not_change_the_descriptor(self, rng):
+        # numpy's sums over frames depend on the layout of the samples
+        x = random_action(rng, joints=24, frames=300).samples
+        wide = np.zeros((600, 48))
+        wide[::2, ::2] = x
+        layouts = [np.ascontiguousarray(x), np.asfortranarray(x), wide[::2, ::2]]
+        stacked = [
+            stack_descriptor(compute_descriptor(ActionMatrix(s, 30.0), 20)).tobytes()
+            for s in layouts
+        ]
+        assert stacked[0] == stacked[1] == stacked[2]
 
     def test_propagates_degenerate(self):
         action = ActionMatrix(np.full((6, 4), 3.0), frame_rate=10.0, action_id="flat_07")

@@ -1,9 +1,13 @@
 import json
 import math
+import multiprocessing
+import os
+import re
 
 import numpy as np
 import pytest
 
+from codemotion import ingest
 from codemotion import (
     ActionMatrix,
     DatasetError,
@@ -37,6 +41,59 @@ def write_dataset(tmp_path, files, name="tiny"):
     manifest_path = tmp_path / "manifest.json"
     manifest_path.write_text(json.dumps({"dataset_name": name, "entries": entries}))
     return manifest_path
+
+
+def set_cpus(monkeypatch, n):
+    """Make ``load_dataset`` see ``n`` CPUs: one parses in-process, more in a worker pool."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
+@pytest.fixture(params=[1, 2], ids=["serial", "pool"])
+def cpus(request, monkeypatch):
+    set_cpus(monkeypatch, request.param)
+    return request.param
+
+
+def reference_read(path):
+    """``float()`` per cell, under the reader's header, blank-line, underscore and message rules."""
+    def number(cell):
+        try:
+            return None if "_" in cell else float(cell)
+        except ValueError:
+            return None
+
+    rows = [
+        (n, line)
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if line.strip()
+    ]
+    if rows and all(number(c) is None for c in rows[0][1].split(",")):
+        rows = rows[1:]
+    if not rows:
+        raise DatasetError(f"{path}: no numeric rows")
+    values = []
+    for n, line in rows:
+        cells = [c.strip() for c in line.split(",")]
+        parsed = [number(c) for c in cells]
+        if None in parsed:
+            raise DatasetError(f"{path}, line {n}: non-numeric value {cells[parsed.index(None)]!r}")
+        if not all(math.isfinite(v) for v in parsed):
+            raise DatasetError(f"{path}, line {n}: non-finite value")
+        if values and len(parsed) != len(values[0]):
+            raise DatasetError(
+                f"{path}, line {n}: expected {len(values[0])} columns, got {len(parsed)}"
+            )
+        values.append(parsed)
+    return np.array(values)
+
+
+def outcome(read, path):
+    try:
+        samples = read(path)
+    except DatasetError as exc:
+        return "error", str(exc)
+    return samples.shape, samples.tobytes()
 
 
 class TestLoadDataset:
@@ -142,6 +199,152 @@ class TestLoadDataset:
         manifest = write_dataset(tmp_path, [("bad.csv", "hip,knee\n\n", {})])
         with pytest.raises(DatasetError, match=r"bad\.csv: no numeric rows"):
             load_dataset(manifest)
+
+    @pytest.mark.parametrize("data, where", [
+        (b"\xff1,2\n3,4\n", "line 1: not UTF-8 (byte 0xff)"),
+        (b"1,2\r\n\r\n3,4\n5,\xe9\n", "line 4: not UTF-8 (byte 0xe9)"),
+        (b"1,2\n3,4\n\xc3", "line 3: not UTF-8 (byte 0xc3)"),
+    ])
+    def test_non_utf8_file_names_file_and_line(self, tmp_path, cpus, data, where):
+        files = [(f"a{i}.csv", "1,2\n3,4\n", {"action_id": f"a{i}"}) for i in range(6)]
+        manifest = write_dataset(tmp_path, files)
+        (tmp_path / "a3.csv").write_bytes(data)
+        message = f"{tmp_path / 'a3.csv'}, {where}"
+        with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+            load_dataset(manifest)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="the pool needs fork"
+)
+class TestParsePool:
+    MIXED = [
+        ("deg.csv", "1.5,-2,3e1\n4,5,6\n7,8,9\n", {}),
+        ("rad.csv", f"{math.pi},0,1\n0,{math.pi / 2},-1\n", {"angle_unit": "rad"}),
+        ("header.csv", "hip,knee,ankle\n1,2,3\n4,5,6\n", {"frame_rate": 120.0}),
+        ("crlf.csv", "1,2,3\r\n4,5,6\r\n", {"class_label": "k", "subject_id": "t"}),
+        ("blank.csv", "\n1,2,3\n\n \n4,5,6\n\n", {}),
+    ]
+
+    def load_both(self, monkeypatch, manifest):
+        set_cpus(monkeypatch, 2)
+        pooled = load_dataset(manifest)
+        set_cpus(monkeypatch, 1)
+        return pooled, load_dataset(manifest)
+
+    def assert_same(self, pooled, serial):
+        assert len(pooled) == len(serial)
+        for a, b in zip(pooled, serial):
+            assert a.samples.tobytes(order="A") == b.samples.tobytes(order="A")
+            assert (a.samples.shape, a.samples.dtype) == (b.samples.shape, b.samples.dtype)
+            assert a.samples.flags == b.samples.flags
+            assert (a.action_id, a.class_label, a.subject_id, a.frame_rate) == (
+                b.action_id, b.class_label, b.subject_id, b.frame_rate)
+
+    def test_pool_equals_serial_on_a_mixed_set(self, tmp_path, monkeypatch):
+        files = [
+            (f"{i}{name}", text, {"action_id": f"{i}{name}", **meta})
+            for i in range(3) for name, text, meta in self.MIXED
+        ]
+        pooled, serial = self.load_both(monkeypatch, write_dataset(tmp_path, files))
+        self.assert_same(pooled, serial)
+        assert pooled[1].samples[0, 0] == 180.0
+        assert pooled[2].num_frames == 2 and pooled[2].frame_rate == 120.0
+
+    def test_pool_equals_serial_on_one_column(self, tmp_path, monkeypatch):
+        files = [(f"c{i}.csv", f"{i}\n{i + 1}\n\n{-i}\n", {"action_id": f"c{i}"}) for i in range(9)]
+        pooled, serial = self.load_both(monkeypatch, write_dataset(tmp_path, files))
+        self.assert_same(pooled, serial)
+        assert pooled[3].samples.shape == (3, 1)
+
+    def test_one_row_fails_alike(self, tmp_path, monkeypatch):
+        files = [(f"r{i}.csv", "1,2\n3,4\n" if i != 5 else "1,2\n", {"action_id": f"r{i}"})
+                 for i in range(9)]
+        manifest = write_dataset(tmp_path, files)
+        errors = []
+        for n in (2, 1):
+            set_cpus(monkeypatch, n)
+            with pytest.raises(DatasetError) as exc:
+                load_dataset(manifest)
+            errors.append(str(exc.value))
+        message = f"{tmp_path / 'r5.csv'}: need at least 2 frames for velocities and variances, got 1"
+        assert errors == [message, message]
+
+    def test_pool_only_with_more_than_one_cpu_and_file(self, tmp_path, monkeypatch):
+        pools = []
+
+        class Spy(ingest.ProcessPoolExecutor):
+            def __init__(self, workers, **kwargs):
+                pools.append(workers)
+                super().__init__(workers, **kwargs)
+
+        monkeypatch.setattr(ingest, "ProcessPoolExecutor", Spy)
+        files = [(f"a{i}.csv", "1,2\n3,4\n", {"action_id": f"a{i}"}) for i in range(3)]
+        manifest = write_dataset(tmp_path, files)
+        (tmp_path / "one").mkdir()
+        single = write_dataset(tmp_path / "one", [("a.csv", "1,2\n3,4\n", {})])
+        for n, path in [(1, manifest), (4, single), (2, manifest), (4, manifest)]:
+            set_cpus(monkeypatch, n)
+            load_dataset(path)
+        assert pools == [2, 3]
+
+    @pytest.mark.parametrize("bad, later", [
+        ("malformed", "missing"),
+        ("columns", "malformed"),
+        ("missing", "malformed"),
+    ])
+    def test_first_bad_entry_in_manifest_order_wins(self, tmp_path, cpus, bad, later):
+        kinds = {"malformed": "1,2\n3,x\n", "columns": "1,2,3\n4,5,6\n", "missing": None}
+        files = [(f"a{i:02d}.csv", "1,2\n3,4\n", {"action_id": f"a{i:02d}"}) for i in range(12)]
+        files[5] = ("a05.csv", kinds[bad] or "", {"action_id": "a05"})
+        files[9] = ("a09.csv", kinds[later] or "", {"action_id": "a09"})
+        manifest = write_dataset(tmp_path, files)
+        for index, kind in ((5, bad), (9, later)):
+            if kinds[kind] is None:
+                (tmp_path / f"a{index:02d}.csv").unlink()
+        path = tmp_path / "a05.csv"
+        message = {
+            "malformed": f"{path}, line 2: non-numeric value 'x'",
+            "columns": f"{path}: 3 joint columns, but the rest of 'tiny' has 2",
+            "missing": f"{path}: file not found (action 'a05')",
+        }[bad]
+        with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+            load_dataset(manifest)
+
+
+PARITY_CELLS = [
+    " 1.5 ", "+1", ".5", "5.", "1E5", "-0", "#1", "1,,2", "1,2,", '"1"', "1_0",
+    "nan", "inf", "0x10", "\u0661",
+]
+
+
+class TestReaderParity:
+    """The one-call reader against a float()-per-cell reference: same array or same error."""
+
+    @pytest.mark.parametrize("cell", PARITY_CELLS)
+    def test_cell(self, tmp_path, cell):
+        # with loadtxt's default comments='#', the '#1' row would vanish
+        path = tmp_path / "a.csv"
+        path.write_text(f"5,6\n{cell},7\n", encoding="utf-8")
+        assert outcome(ingest._read_csv_matrix, path) == outcome(reference_read, path)
+
+    @pytest.mark.parametrize("text", ["1,2\n3\n4,5\n", "1,2\n3,4,5\n", "hip,knee\n", "\n \n", ""],
+                             ids=["short-row", "long-row", "header-only", "blank", "empty"])
+    def test_file(self, tmp_path, text):
+        path = tmp_path / "a.csv"
+        path.write_text(text, encoding="utf-8")
+        result = outcome(ingest._read_csv_matrix, path)
+        assert result == outcome(reference_read, path) and result[0] == "error"
+
+    def test_non_ascii_digit_loads_through_the_scan(self, tmp_path, monkeypatch):
+        # numpy's parser rejects ARABIC-INDIC DIGIT ONE, float() reads it as 1
+        scans = []
+        scan_rows = ingest._scan_rows
+        monkeypatch.setattr(ingest, "_scan_rows", lambda *a: scans.append(a) or scan_rows(*a))
+        path = tmp_path / "a.csv"
+        path.write_text("5,6\n\u0661,7\n", encoding="utf-8")
+        np.testing.assert_array_equal(ingest._read_csv_matrix(path), [[5.0, 6.0], [1.0, 7.0]])
+        assert len(scans) == 1
 
 
 def lowpass(action, spec):
