@@ -50,8 +50,10 @@ class SplitPlan:
         if not 2 <= k <= n:
             raise ValueError(f"fold count must be in [2, {n}], got {k}")
         rng = np.random.default_rng(seed)
-        counts = {label: sum(1 for x in labels if x == label) for label in set(labels)}
-        short = sorted(str(label) for label, c in counts.items() if c < k)
+        classes, inverse, counts = np.unique(
+            np.asarray(labels, dtype=object), return_inverse=True, return_counts=True
+        )
+        short = sorted(str(label) for label, c in zip(classes, counts) if c < k)
         if short:
             warnings.warn(
                 f"{len(short)} class(es) have fewer than {k} items "
@@ -59,21 +61,19 @@ class SplitPlan:
                 "stratification is best-effort",
                 stacklevel=2,
             )
-        buckets: list[list[int]] = [[] for _ in range(k)]
+        # each class, shuffled, deals its items to the folds round-robin from
+        # where the previous class stopped
+        fold_of = np.empty(n, dtype=np.intp)
         cursor = 0
-        for label in sorted(set(labels)):
-            idx = np.array([i for i, x in enumerate(labels) if x == label])
+        for c in range(classes.size):
+            idx = np.flatnonzero(inverse == c)
             rng.shuffle(idx)
-            for i in idx:
-                buckets[cursor].append(int(i))
-                cursor = (cursor + 1) % k
-        everything = set(range(n))
-        folds = []
-        for bucket in buckets:
-            test = np.array(sorted(bucket), dtype=np.intp)
-            train = np.array(sorted(everything - set(bucket)), dtype=np.intp)
-            folds.append((train, test))
-        return SplitPlan("stratified-kfold", tuple(folds))
+            fold_of[idx] = (cursor + np.arange(idx.size)) % k
+            cursor = (cursor + idx.size) % k
+        folds = tuple(
+            (np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f)) for f in range(k)
+        )
+        return SplitPlan("stratified-kfold", folds)
 
     @staticmethod
     def cross_subject(subject_ids, train_subjects) -> "SplitPlan":
@@ -215,8 +215,7 @@ def _classify(queries, references, labels, spec, plan, descriptor_time) -> EvalR
     ``[test, train]`` block from it. Ties go to the earliest item of the
     fold's training list.
     """
-    class_labels = sorted(set(labels))
-    class_index = {c: i for i, c in enumerate(class_labels)}
+    classes, y = np.unique(np.asarray(labels, dtype=object), return_inverse=True)
     t0 = time.perf_counter()
     # The union also scores each fold's test items against each other, cells no
     # fold reads; one call is still cheaper than one per fold at workload scale.
@@ -227,12 +226,11 @@ def _classify(queries, references, labels, spec, plan, descriptor_time) -> EvalR
     for train, test in plan.folds:
         block = matrix[np.ix_(np.searchsorted(rows, test), np.searchsorted(cols, train))]
         best = block.argmax(axis=1) if spec.higher_is_better else block.argmin(axis=1)
-        conf = np.zeros((len(class_labels), len(class_labels)), dtype=np.int64)
-        for i, b in zip(test, best):
-            conf[class_index[labels[int(i)]], class_index[labels[int(train[b])]]] += 1
+        conf = np.zeros((classes.size, classes.size), dtype=np.int64)
+        np.add.at(conf, (y[test], y[train[best]]), 1)
         fold_confusions.append(conf)
     classify_time = time.perf_counter() - t0
-    return _aggregate_report(fold_confusions, descriptor_time, classify_time, class_labels)
+    return _aggregate_report(fold_confusions, descriptor_time, classify_time, classes.tolist())
 
 
 def evaluate(dataset, jm: int, spec: MetricSpec, plan: SplitPlan) -> EvalReport:

@@ -120,10 +120,10 @@ def _read_csv_matrix(path: Path) -> np.ndarray:
     """Parse one action CSV: comma-separated decimals, optional auto-detected header.
 
     A first row none of whose cells is numeric is a header. The other
-    non-blank rows convert in one call; a file whose conversion fails, whose
-    data holds an underscore or a non-finite value is scanned line by line so
-    the error names the first bad line. A file that is not UTF-8 fails with
-    the line of its first undecodable byte.
+    non-blank rows convert in one call; a file whose conversion fails or holds
+    a non-finite value is scanned line by line so the error names the first
+    bad line. A file that is not UTF-8 fails with the line of its first
+    undecodable byte.
     """
     data = path.read_bytes()
     try:
@@ -141,18 +141,16 @@ def _read_csv_matrix(path: Path) -> np.ndarray:
         del numbered[0]
     if not numbered:
         raise DatasetError(f"{path}: no numeric rows")
-    # float() reads digit separators ('1_0' as 10.0), so an underscore goes to the scan
-    if not any("_" in line for _, line in numbered):
-        try:
-            # comments=None: a '#' cell is a non-numeric value, not a comment
-            samples = np.loadtxt(
-                [line for _, line in numbered], delimiter=",", dtype=np.float64,
-                comments=None, ndmin=2,
-            )
-            if np.isfinite(samples).all():
-                return samples
-        except ValueError:  # a non-numeric cell or a ragged row
-            pass
+    try:
+        # comments=None: a '#' cell is a non-numeric value, not a comment
+        samples = np.loadtxt(
+            [line for _, line in numbered], delimiter=",", dtype=np.float64,
+            comments=None, ndmin=2,
+        )
+        if np.isfinite(samples).all():
+            return samples
+    except ValueError:  # a non-numeric cell or a ragged row
+        pass
     return _scan_rows(path, numbered)
 
 

@@ -142,15 +142,18 @@ def _mij_pairs(descriptors, num_joints: int):
     """Every descriptor's MIJ pairs in ascending pair-id order.
 
     Returns ``(ids, corr, mass)``, each of shape (n, jm(jm-1)/2): the pair
-    id ``min(i, j) * num_joints + max(i, j)`` of joints i and j, the
-    descriptor's correlation for that pair, and its mass ``g[i] + g[j]``
+    id of joints ``lo < hi``, their row-major index in the upper triangle of
+    a ``num_joints`` square, ``lo * (2 * num_joints - lo - 1) / 2 + hi - lo - 1``;
+    the descriptor's correlation for that pair; and its mass ``g[lo] + g[hi]``
     with ``g = var_norm + vmax_norm + vmin_norm``.
     """
     p, q = np.triu_indices(descriptors[0].jm, k=1)  # rank positions, in corr's layout
     mij = np.stack([d.mij for d in descriptors])
     g = np.stack([d.var_norm + d.vmax_norm + d.vmin_norm for d in descriptors])
     corr = np.stack([d.corr for d in descriptors])
-    ids = np.minimum(mij[:, p], mij[:, q]) * num_joints + np.maximum(mij[:, p], mij[:, q])
+    lo = np.minimum(mij[:, p], mij[:, q])
+    hi = np.maximum(mij[:, p], mij[:, q])
+    ids = lo * (2 * num_joints - lo - 1) // 2 + hi - lo - 1
     order = np.argsort(ids, axis=1)
     return tuple(np.take_along_axis(x, order, axis=1) for x in (ids, corr, g[:, p] + g[:, q]))
 
@@ -159,26 +162,21 @@ def _csm_matrix(queries, references) -> np.ndarray:
     num_joints = 1 + max(int(d.mij.max()) for d in queries + references)
     q_ids, q_corr, q_mass = _mij_pairs(queries, num_joints)
     r_ids, r_corr, r_mass = _mij_pairs(references, num_joints)
-    # Number the pair ids in use; np.unique keeps them in ascending order.
-    both = np.concatenate([q_ids, r_ids])
-    used, slot = np.unique(both, return_inverse=True)
-    slot = slot.reshape(both.shape)
-    q_slot, r_slot = slot[: len(queries)], slot[len(queries) :]
-    # Pair-major reference tables, zero where a reference lacks the pair.
-    mask = np.zeros((used.size, len(references)))
+    # Reference tables indexed by pair id, zero where a reference lacks the pair.
+    mask = np.zeros((num_joints * (num_joints - 1) // 2, len(references)))
     corr = np.zeros_like(mask)
     mass = np.zeros_like(mask)
     cols = np.arange(len(references))[:, None]
-    mask[r_slot, cols] = 1.0
-    corr[r_slot, cols] = r_corr
-    mass[r_slot, cols] = r_mass
+    mask[r_ids, cols] = 1.0
+    corr[r_ids, cols] = r_corr
+    mass[r_ids, cols] = r_mass
     # Every cell adds its query's pairs one at a time in pair-id order. The
     # non-zero terms are then the shared pairs in the same order from either
     # side, so S(Q, R) == S(R, Q).T bit for bit. A numpy reduction over the
     # pair axis would not keep that order: it sums a single column pairwise.
     scores = np.zeros((len(queries), len(references)))
-    for k in range(q_slot.shape[1]):
-        s = q_slot[:, k]
+    for k in range(q_ids.shape[1]):
+        s = q_ids[:, k]
         weight = 1.0 - 0.5 * np.abs(q_corr[:, k, None] - corr[s])
         scores += mask[s] * weight * (q_mass[:, k, None] + mass[s])
     return scores

@@ -97,6 +97,33 @@ class TestStratifiedKFold:
             np.testing.assert_array_equal(tr1, tr2)
             np.testing.assert_array_equal(te1, te2)
 
+    @pytest.mark.parametrize(
+        "labels, k, seed, short, tests",
+        [
+            (list("bacabcabacd"), 3, 0, "d", [[0, 5, 6, 8], [1, 7, 9, 10], [2, 3, 4]]),
+            (list("bacabcabacd"), 3, 7, "d", [[0, 1, 8, 9], [2, 4, 6, 10], [3, 5, 7]]),
+            (
+                ["walk", "run", "walk", "jump", "run", "walk",
+                 "jump", "run", "walk", "run", "jump", "walk"],
+                4, 11, "jump",
+                [[1, 5, 6], [2, 3, 7], [0, 9, 10], [4, 8, 11]],
+            ),
+            (list("xyxyz"), 2, 1, "z", [[0, 1, 4], [2, 3]]),
+        ],
+    )
+    def test_exact_folds_pinned(self, labels, k, seed, short, tests):
+        # classes are dealt in sorted order, each shuffled by the seeded
+        # generator, round-robin from where the previous class stopped
+        with pytest.warns(UserWarning) as record:
+            plan = SplitPlan.stratified_kfold(labels, k=k, seed=seed)
+        assert [str(w.message) for w in record] == [
+            f"1 class(es) have fewer than {k} items ({short}); stratification is best-effort"
+        ]
+        assert [test.tolist() for _, test in plan.folds] == tests
+        for train, test in plan.folds:
+            assert train.tolist() == sorted(set(range(len(labels))) - set(test.tolist()))
+            assert train.dtype == test.dtype == np.intp
+
 
 class TestCrossSubject:
     def test_split_by_subject(self):

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from codemotion import (
     ActionMatrix,
+    CodeDescriptor,
     Metric,
     MetricSpec,
     baseline_distance,
@@ -16,6 +17,7 @@ from codemotion import (
     similarity_matrix,
     stack_descriptor,
 )
+from oracles import csm_score
 
 SETTINGS = settings(max_examples=120, deadline=None)
 
@@ -144,8 +146,6 @@ class TestSimilarityProperties:
     @given(actions(min_joints=4, max_joints=6), st.integers(2, 4),
            st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6))
     def test_shrinking_weights_never_raises_the_score(self, action, jm, new_corr):
-        from codemotion import CodeDescriptor
-
         d = compute_descriptor(action, jm)
         assume(np.all(d.vmax_norm >= 0) or True)
         # force non-negative velocity features so every bracket is non-negative
@@ -154,6 +154,50 @@ class TestSimilarityProperties:
         twisted = CodeDescriptor(base.mij, base.var_norm, base.vmax_norm, base.vmin_norm,
                                  np.array(new_corr[: base.corr.size]), base.jm)
         assert csm(base, twisted) <= csm(base, base) + 1e-12
+
+    @SETTINGS
+    @given(st.data())
+    def test_csm_matrix_at_real_joint_counts(self, data):
+        jm = data.draw(st.integers(1, 20))
+        case = data.draw(st.sampled_from(["random", "all-shared", "last-pair", "disjoint",
+                                          "duplicates"]))
+        if case == "all-shared":
+            joints = jm
+        elif case == "disjoint":
+            joints = data.draw(st.integers(2 * jm, max(2 * jm, 60)))
+        else:
+            joints = data.draw(st.integers(max(jm, 2), 60))
+        n_q, n_r = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+        def descriptor(joint_ids):
+            if case == "last-pair" and jm >= 2:
+                # joints J-2 and J-1 make the pair of the last triangle row
+                rest = rng.choice(joints - 2, size=jm - 2, replace=False)
+                mij = rng.permutation(np.concatenate([[joints - 2, joints - 1], rest]))
+            else:
+                mij = rng.choice(joint_ids, size=jm, replace=False)
+            var = rng.random(jm)
+            vmax, vmin = rng.uniform(-1.0, 1.0, (2, jm))
+            return CodeDescriptor(mij, var / var.sum(), vmax / np.abs(vmax).sum(),
+                                  vmin / np.abs(vmin).sum(),
+                                  rng.uniform(-1.0, 1.0, jm * (jm - 1) // 2), jm)
+
+        split = joints // 2 if case == "disjoint" else joints
+        queries = [descriptor(np.arange(split)) for _ in range(n_q)]
+        if case == "duplicates":
+            references = queries + queries[:1]
+        else:
+            references = [descriptor(np.arange(joints - split, joints)) for _ in range(n_r)]
+        matrix = similarity_matrix(queries, references, MetricSpec(Metric.CSM))
+        for i, a in enumerate(queries):
+            for j, b in enumerate(references):
+                assert matrix[i, j] == csm(a, b)
+                assert matrix[i, j] == pytest.approx(csm_score(a, b), rel=1e-12, abs=1e-12)
+        if case == "disjoint":
+            assert not matrix.any()
+        if case == "duplicates":
+            np.testing.assert_array_equal(matrix[:, -1], matrix[:, 0])
 
     @SETTINGS
     @given(st.lists(actions(min_joints=4, max_joints=4), min_size=2, max_size=4),
