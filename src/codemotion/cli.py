@@ -51,11 +51,13 @@ def _filter_spec(args) -> FilterSpec | None:
 
 
 def _load_actions(args):
-    actions = load_dataset(args.manifest)
+    # An iterator, not the list, so that this frame holds no reference once
+    # the filter has taken the actions, and the filter can free each raw action
+    # as it buffers it. Python 3.10 keeps a list passed as an argument alive
+    # in the caller for the whole call; an exhausted iterator lets go of it.
+    actions = iter(load_dataset(args.manifest))
     spec = _filter_spec(args)
-    if spec is not None:
-        actions = butterworth_filter(actions, spec)
-    return actions
+    return list(actions) if spec is None else butterworth_filter(actions, spec)
 
 
 def _metric_spec(args) -> MetricSpec:

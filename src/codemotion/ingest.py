@@ -89,7 +89,7 @@ def load_manifest(path) -> DatasetManifest:
     if not path.exists():
         raise DatasetError(f"{path}: manifest file not found")
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = json.loads(path.read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise DatasetError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(payload, dict) or "entries" not in payload:
@@ -123,11 +123,11 @@ def _read_csv_matrix(path: Path) -> np.ndarray:
     non-blank rows convert in one call; a file whose conversion fails or holds
     a non-finite value is scanned line by line so the error names the first
     bad line. A file that is not UTF-8 fails with the line of its first
-    undecodable byte.
+    undecodable byte; one leading byte-order mark is dropped.
     """
     data = path.read_bytes()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         # the bad byte's line, counted as splitlines() counts the lines below
         line_no = len((data[: exc.start].decode("utf-8") + "x").splitlines())
@@ -304,30 +304,40 @@ def butterworth_filter(actions, spec: FilterSpec = FilterSpec()) -> list[ActionM
     share a frame rate and a power-of-two length class are filtered in one
     pass; each result equals ``scipy.signal.sosfiltfilt`` of that action
     alone, bit for bit.
+
+    The function works on its own list of the actions and keeps only their
+    metadata: each raw action is dropped once its samples are in the pass's
+    buffer. A caller that hands over the only reference, say as an
+    iterator, holds the pool twice at the peak (buffer and filtered copies)
+    instead of three times; a caller that keeps its sequence keeps it intact.
     """
     actions = list(actions)
+    # The design depends on the rate. A pass runs every column for as many
+    # frames as its longest action has, so lengths in a pass stay within 2x.
     groups: dict[tuple[float, int], list[int]] = {}
-    for i, action in enumerate(actions):
-        # The design depends on the rate. A pass runs every column for as many
-        # frames as its longest action has, so lengths in a pass stay within 2x.
-        key = (action.frame_rate, action.num_frames.bit_length())
-        if key not in groups:
-            nyquist = action.frame_rate / 2.0
-            if not spec.cutoff_hz < nyquist:
-                raise ValueError(
-                    f"cutoff {spec.cutoff_hz} Hz must stay below the Nyquist frequency "
-                    f"{nyquist} Hz of a {action.frame_rate} Hz recording "
-                    f"(action {action.action_id!r})"
-                )
-            groups[key] = []
-        groups[key].append(i)
-    pad = 3 * (spec.order + 1)
-    filtered: list[ActionMatrix] = [None] * len(actions)
+    for i, key in enumerate([(a.frame_rate, a.num_frames.bit_length()) for a in actions]):
+        groups.setdefault(key, []).append(i)
     for (rate, _), members in groups.items():
+        nyquist = rate / 2.0
+        if not spec.cutoff_hz < nyquist:
+            raise ValueError(
+                f"cutoff {spec.cutoff_hz} Hz must stay below the Nyquist frequency "
+                f"{nyquist} Hz of a {rate} Hz recording "
+                f"(action {actions[members[0]].action_id!r})"
+            )
+    meta = [(a.frame_rate, a.class_label, a.subject_id, a.action_id) for a in actions]
+    pad = 3 * (spec.order + 1)
+    filtered: dict[int, ActionMatrix] = {}
+    for (rate, _), members in groups.items():
+        signals = [actions[i].samples for i in members]
+        for i in members:
+            actions[i] = None
         sos = lowpass_sos(spec.order, spec.cutoff_hz, rate)
-        for i, samples in zip(members, _sosfiltfilt([actions[i].samples for i in members], sos, pad)):
-            filtered[i] = actions[i].with_samples(samples)
-    return filtered
+        # no name outlives the statement, so this pass's buffer is freed before the next
+        filtered.update(
+            (i, ActionMatrix(x, *meta[i])) for i, x in zip(members, _sosfiltfilt(signals, sos, pad))
+        )
+    return [filtered[i] for i in range(len(meta))]
 
 
 def _sosfiltfilt(signals, sos: np.ndarray, pad: int) -> list[np.ndarray]:
@@ -338,6 +348,8 @@ def _sosfiltfilt(signals, sos: np.ndarray, pad: int) -> list[np.ndarray]:
     filters every column. Between the passes each block is reversed within
     its own length. Rows past a block's length hold the filter's decaying
     tail, which no result reads. The results are views into the buffer.
+    ``signals`` is emptied once the buffer holds it, so arrays the caller
+    no longer references are freed before the passes.
     """
     edges = [min(pad, len(x) - 1) for x in signals]
     lengths = [len(x) + 2 * e for x, e in zip(signals, edges)]
@@ -348,6 +360,7 @@ def _sosfiltfilt(signals, sos: np.ndarray, pad: int) -> list[np.ndarray]:
         np.subtract(2 * x[:1], x[e:0:-1], out=block[:e])
         block[e:-e] = x
         np.subtract(2 * x[-1:], x[-2 : -(e + 2) : -1], out=block[-e:])
+    del x, signals[:]  # the buffer holds the samples now
     zi = sosfilt_zi(sos)[:, :, None]
     _sosfilt(sos, buf, zi * buf[0])
     for block in blocks:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,29 @@ def random_action(rng, joints=None, frames=None, scale=30.0, frame_rate=30.0, **
     amps = rng.uniform(0.3, 1.0, size=joints) * scale
     samples += amps * np.sin(2 * np.pi * freqs * t[:, None] + phases)
     return ActionMatrix(samples, frame_rate=frame_rate, **meta)
+
+
+def traced_peak(call):
+    """``call()`` and the peak bytes tracemalloc saw allocated during it, over what was before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def pool_held_twice(count, frames, joints, order=2):
+    """Peak bytes allowed for filtering ``count`` (frames, joints) actions that were handed over.
+
+    One pool's sample bytes, the filter buffer and a quarter pool of slack:
+    a filter that keeps the raw pool to the end holds about two pools plus
+    the buffer.
+    """
+    pool = count * frames * joints * 8
+    buffer = (frames + 2 * min(3 * (order + 1), frames - 1)) * count * joints * 8
+    return pool + buffer + pool // 4
 
 
 @pytest.fixture

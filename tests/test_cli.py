@@ -9,8 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from codemotion import load_dataset
-from codemotion.cli import main
+from codemotion import (
+    FilterSpec, SyntheticConfig, butterworth_filter, generate_synthetic, load_dataset, save_dataset,
+)
+from codemotion.cli import _load_actions, build_parser, main
+from conftest import pool_held_twice, traced_peak
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -311,6 +314,23 @@ class TestNoise:
         assert code == 1
         assert "error: --sigmas: " in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestLoadActions:
+    def test_loaded_pool_is_handed_to_the_filter(self, tmp_path, monkeypatch):
+        # Parsed in this process, so tracemalloc sees every array. Keeping the
+        # raw pool until the filter returns would hold it three times.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        config = SyntheticConfig(classes=4, per_class=3, subjects=2, joints=20, frames=400, seed=3)
+        manifest = save_dataset(*generate_synthetic(config), tmp_path / "data")
+        args = build_parser().parse_args(
+            ["describe", "--manifest", str(manifest), "--out", str(tmp_path / "out")]
+        )
+        actions, peak = traced_peak(lambda: _load_actions(args))
+        assert peak < pool_held_twice(24, 400, 20)
+        expected = butterworth_filter(load_dataset(manifest), FilterSpec())
+        assert [a.samples.tobytes() for a in actions] == [a.samples.tobytes() for a in expected]
 
 
 class TestScipyFreeRuntime:

@@ -1,3 +1,4 @@
+import codecs
 import json
 import math
 import multiprocessing
@@ -23,7 +24,7 @@ from codemotion import (
 )
 from oracles import pearson
 
-from conftest import random_action
+from conftest import pool_held_twice, random_action, traced_peak
 
 
 def write_dataset(tmp_path, files, name="tiny"):
@@ -56,7 +57,7 @@ def cpus(request, monkeypatch):
 
 
 def reference_read(path):
-    """``float()`` per cell, under the reader's header, blank-line, underscore and message rules."""
+    """``float()`` per cell, under the reader's BOM, header, blank-line, underscore and message rules."""
     def number(cell):
         try:
             return None if "_" in cell else float(cell)
@@ -65,7 +66,7 @@ def reference_read(path):
 
     rows = [
         (n, line)
-        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        for n, line in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1)
         if line.strip()
     ]
     if rows and all(number(c) is None for c in rows[0][1].split(",")):
@@ -195,6 +196,19 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match=rf"bad\.csv, line 3: {message}"):
             load_dataset(manifest)
 
+    @pytest.mark.parametrize("text", ["\ufeff1.0,2\n3,4\n", "\ufeffhip,knee\r\n1,2\r\n3,4\r\n"],
+                             ids=["data", "header"])
+    def test_byte_order_mark_dropped(self, tmp_path, cpus, text):
+        manifest = write_dataset(tmp_path, [("a.csv", "", {})])
+        (tmp_path / "a.csv").write_text(text, encoding="utf-8")
+        np.testing.assert_array_equal(load_dataset(manifest)[0].samples, [[1, 2], [3, 4]])
+
+    def test_manifest_byte_order_mark_dropped(self, tmp_path):
+        manifest = write_dataset(tmp_path, [("a.csv", "1,2\n3,4\n", {"action_id": "x"})])
+        manifest.write_bytes(codecs.BOM_UTF8 + manifest.read_bytes())
+        assert load_manifest(manifest).entries[0].action_id == "x"
+        np.testing.assert_array_equal(load_dataset(manifest)[0].samples, [[1, 2], [3, 4]])
+
     def test_header_only_file_rejected(self, tmp_path):
         manifest = write_dataset(tmp_path, [("bad.csv", "hip,knee\n\n", {})])
         with pytest.raises(DatasetError, match=r"bad\.csv: no numeric rows"):
@@ -204,6 +218,8 @@ class TestLoadDataset:
         (b"\xff1,2\n3,4\n", "line 1: not UTF-8 (byte 0xff)"),
         (b"1,2\r\n\r\n3,4\n5,\xe9\n", "line 4: not UTF-8 (byte 0xe9)"),
         (b"1,2\n3,4\n\xc3", "line 3: not UTF-8 (byte 0xc3)"),
+        (codecs.BOM_UTF8 + b"1,2\n3,\xff\n", "line 2: not UTF-8 (byte 0xff)"),
+        (codecs.BOM_UTF8 + b"\xe9,2\n3,4\n", "line 1: not UTF-8 (byte 0xe9)"),
     ])
     def test_non_utf8_file_names_file_and_line(self, tmp_path, cpus, data, where):
         files = [(f"a{i}.csv", "1,2\n3,4\n", {"action_id": f"a{i}"}) for i in range(6)]
@@ -336,6 +352,16 @@ class TestReaderParity:
         result = outcome(ingest._read_csv_matrix, path)
         assert result == outcome(reference_read, path) and result[0] == "error"
 
+    @pytest.mark.parametrize("text", [
+        "\ufeff1,2\n3,4\n", "\ufeffhip,knee\n1,2\n", "\ufeff\n1,2\n", "\ufeff\ufeff1,2\n",
+        "1,2\n\ufeff3,4\n", "\ufeff",
+    ], ids=["data", "header", "blank-first", "two-marks", "mark-inside", "mark-only"])
+    def test_byte_order_mark(self, tmp_path, text):
+        # one leading mark is dropped; any other is a non-numeric cell
+        path = tmp_path / "a.csv"
+        path.write_text(text, encoding="utf-8")
+        assert outcome(ingest._read_csv_matrix, path) == outcome(reference_read, path)
+
     def test_non_ascii_digit_loads_through_the_scan(self, tmp_path, monkeypatch):
         # numpy's parser rejects ARABIC-INDIC DIGIT ONE, float() reads it as 1
         scans = []
@@ -431,6 +457,24 @@ class TestButterworthFilter:
             assert (after.frame_rate, after.class_label) == (before.frame_rate, before.class_label)
         assert butterworth_filter([], FilterSpec()) == []
 
+    def test_kept_list_is_left_intact(self, rng):
+        # the filter drops only its own references; the caller's list and actions stay valid
+        shapes = [(40, 60.0), (90, 60.0), (35, 120.0), (50, 60.0), (3, 120.0)]
+        pool = [random_action(rng, joints=5, frames=f, frame_rate=r, action_id=f"a{i}")
+                for i, (f, r) in enumerate(shapes)]
+        kept, values = list(pool), [a.samples.copy(order="A") for a in pool]
+        spec = FilterSpec(cutoff_hz=8.0, order=3)
+        filtered = butterworth_filter(pool, spec)
+        handed = butterworth_filter(iter([a.with_samples(a.samples) for a in pool]), spec)
+        assert len(pool) == len(kept) and all(a is b for a, b in zip(pool, kept))
+        for action, samples in zip(pool, values):
+            assert action.samples.tobytes(order="A") == samples.tobytes(order="A")
+        for a, b in zip(filtered, handed):
+            assert a.samples.tobytes(order="A") == b.samples.tobytes(order="A")
+            assert a.samples.flags == b.samples.flags
+            assert (a.action_id, a.class_label, a.subject_id, a.frame_rate) == (
+                b.action_id, b.class_label, b.subject_id, b.frame_rate)
+
     def test_bad_spec_rejected(self):
         with pytest.raises(ValueError):
             FilterSpec(cutoff_hz=0.0)
@@ -445,6 +489,26 @@ class TestButterworthFilter:
     def test_whole_float_order_accepted(self):
         assert FilterSpec(order=3.0).order == 3
         assert FilterSpec(order=np.int64(4)).order == 4
+
+
+def pool_actions(rng, count, frames, joints):
+    for i in range(count):
+        yield ActionMatrix(rng.standard_normal((frames, joints)), 120.0, f"c{i % 3}", "s", f"a{i}")
+
+
+class TestFilterMemory:
+    """A pool handed over to the filter is held twice at the peak: as the buffer and as results."""
+
+    @pytest.mark.parametrize("count, frames, joints", [(40, 600, 20), (80, 60, 60)])
+    @pytest.mark.parametrize("hand_over", [lambda pool: iter(list(pool)), lambda pool: pool],
+                             ids=["iterator", "generator"])
+    def test_handed_over_pool_is_freed_as_it_is_buffered(self, rng, count, frames, joints, hand_over):
+        # a list argument would stay alive in this frame during the call on Python 3.10
+        filtered, peak = traced_peak(
+            lambda: butterworth_filter(hand_over(pool_actions(rng, count, frames, joints)), FilterSpec())
+        )
+        assert [a.samples.shape for a in filtered] == [(frames, joints)] * count
+        assert peak < pool_held_twice(count, frames, joints)
 
 
 class TestGenerateSynthetic:
