@@ -323,11 +323,13 @@ def noise_sweep(
 
     Noise lands on raw angles and ``preprocess`` (typically the low-pass
     filter) runs afterwards, so the injection-before-filtering ordering
-    holds by construction. ``preprocess`` maps a whole pool of actions to a
-    list of the same length and order, so a batched filter handles one pool
-    per call. By default only test items are corrupted; ``corrupt_train``
-    extends the corruption to the training pool. The per-item noise streams
-    derive from (seed, sigma index, item index) alone.
+    holds by construction. ``preprocess`` maps an iterable of actions, one
+    whole pool, to a list of the same length and order, so a batched filter
+    handles one pool per call; each noisy pool comes as a generator, which
+    lets the filter free every noisy action once it is buffered. By
+    default only test items are corrupted; ``corrupt_train`` extends the
+    corruption to the training pool. The per-item noise streams derive
+    from (seed, sigma index, item index) alone.
     """
     dataset = list(dataset)
     if not dataset:
@@ -339,7 +341,7 @@ def noise_sweep(
     rows = []
     for s_idx, sigma in enumerate(sigmas):
         noisy, descriptor_time = _describe(
-            prep([inject_agwn(a, float(sigma), seed=[seed, s_idx, i]) for i, a in enumerate(dataset)]),
+            prep(inject_agwn(a, float(sigma), seed=[seed, s_idx, i]) for i, a in enumerate(dataset)),
             jm,
         )
         report = _classify(noisy, noisy if corrupt_train else clean, labels, spec, plan, descriptor_time)

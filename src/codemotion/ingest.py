@@ -184,10 +184,11 @@ def _is_number(cell: str) -> bool:
         return False
 
 
-# Files per task of a parse worker. A finished task's arrays wait in the
-# parent until the loop reaches them, so the size sets the peak memory: on
-# the benchmark workloads with 2 CPUs, 4 files cost 1-2.5 MB of peak RSS and
-# 25 files 5-7 MB.
+# Files per task of a forked worker, both when parsing and when writing. A
+# finished parse task's arrays wait in the parent until the loop reaches
+# them, and a write task queued for a worker holds a pickled copy of its
+# arrays, so the size sets the peak memory: parsing the benchmark workloads
+# with 2 CPUs, 4 files cost 1-2.5 MB of peak RSS and 25 files 5-7 MB.
 PARSE_CHUNK = 4
 
 
@@ -203,30 +204,41 @@ def _parse(path: Path):
         return exc
 
 
-@contextmanager
-def _parsed(paths):
-    """An iterator of ``_parse`` over ``paths``, in order.
+def _write(task):
+    """Write one action's samples to ``path`` with full repr precision; None, or the ``OSError``."""
+    path, samples = task
+    lines = [",".join(map(repr, row)) for row in samples.tolist()]
+    try:
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    except OSError as exc:
+        return exc
+    return None
 
-    Forked worker processes parse the files, one per CPU this process may
-    run on. With one CPU, one file, no ``fork``, or other threads running,
-    the files are parsed in this process instead: a forked worker holds a
-    copy of every lock, including those another thread held at the fork.
+
+@contextmanager
+def _forked(fn, items):
+    """An iterator of ``fn`` over the list ``items``, in order.
+
+    Forked worker processes run ``fn``, one per CPU this process may run
+    on. With one CPU, one item, no ``fork``, or other threads running,
+    ``fn`` runs in this process instead: a forked worker holds a copy of
+    every lock, including those another thread held at the fork.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    workers = min(cpus, len(paths))
+    workers = min(cpus, len(items))
     if (
         workers < 2
         or "fork" not in multiprocessing.get_all_start_methods()
         or threading.active_count() > 1
     ):
-        yield map(_parse, paths)
+        yield map(fn, items)
         return
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
         try:
-            yield pool.map(_parse, paths, chunksize=PARSE_CHUNK)
+            yield pool.map(fn, items, chunksize=PARSE_CHUNK)
         finally:
             pool.shutdown(cancel_futures=True)
 
@@ -243,7 +255,7 @@ def load_dataset(manifest_path) -> list[ActionMatrix]:
     paths = [manifest_path.parent / entry.path for entry in manifest.entries]
     actions: list[ActionMatrix] = []
     joints = None
-    with _parsed(paths) as matrices:
+    with _forked(_parse, paths) as matrices:
         for entry, file_path in zip(manifest.entries, paths):
             if not file_path.exists():
                 raise DatasetError(f"{file_path}: file not found (action {entry.action_id!r})")
@@ -517,17 +529,38 @@ def save_dataset(actions, manifest: DatasetManifest, out_dir) -> Path:
     """Write one CSV per action plus the manifest; returns the manifest path.
 
     Values are written with full repr precision, so a reload yields
-    value-identical matrices.
+    value-identical matrices. Before any file is written, every manifest
+    entry must have an action, no two actions may share an action id, and
+    no two entries (nor an entry and ``manifest.json``) may resolve to the
+    same file; a ``DatasetError`` names the ids or the path. The CSVs are
+    written in forked workers like ``load_dataset`` parses them, with the
+    same bytes either way; the error raised is that of the first failing
+    entry in manifest order.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    by_id = {a.action_id: a for a in actions}
-    for entry in manifest.entries:
-        action = by_id.get(entry.action_id)
-        if action is None:
-            raise DatasetError(f"manifest entry {entry.action_id!r} has no matching action")
-        lines = [",".join(map(repr, row)) for row in action.samples.tolist()]
-        (out_dir / entry.path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    by_id: dict[str, ActionMatrix] = {}
+    shared = []
+    for action in actions:
+        if by_id.setdefault(action.action_id, action) is not action:
+            shared.append(action.action_id)
+    if shared:
+        raise DatasetError(f"actions share an action_id: {', '.join(map(repr, dict.fromkeys(shared)))}")
+    missing = [entry.action_id for entry in manifest.entries if entry.action_id not in by_id]
+    if missing:
+        raise DatasetError(f"manifest entries have no matching action: {', '.join(map(repr, missing))}")
     manifest_path = out_dir / "manifest.json"
+    paths = [out_dir / entry.path for entry in manifest.entries]
+    seen = {manifest_path.resolve(): "the manifest"}
+    for entry, path in zip(manifest.entries, paths):
+        key = path.resolve()
+        if key in seen:
+            raise DatasetError(f"{path}: action {entry.action_id!r} and {seen[key]} resolve to the same file")
+        seen[key] = f"action {entry.action_id!r}"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    tasks = [(path, by_id[entry.action_id].samples) for entry, path in zip(manifest.entries, paths)]
+    with _forked(_write, tasks) as errors:
+        for error in errors:
+            if error is not None:
+                raise error
     manifest.to_json(manifest_path)
     return manifest_path

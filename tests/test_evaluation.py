@@ -4,9 +4,11 @@ import pytest
 from codemotion import (
     ActionMatrix,
     FeatureSet,
+    FilterSpec,
     Metric,
     MetricSpec,
     SplitPlan,
+    butterworth_filter,
     compute_descriptor,
     csm,
     evaluate,
@@ -18,7 +20,7 @@ from codemotion import (
 from codemotion import evaluation
 from oracles import csm_score
 
-from conftest import random_action
+from conftest import pool_held_twice, random_action, traced_peak
 
 CSM = MetricSpec(Metric.CSM)
 
@@ -421,3 +423,23 @@ class TestNoiseSweep:
         again = noise_sweep(actions, [3.0], jm=2, spec=CSM, plan=plan, seed=5, corrupt_train=True)
         assert both[0].accuracy_mean == again[0].accuracy_mean
         assert clean[0].sigma_deg == both[0].sigma_deg == 3.0
+
+    @pytest.mark.parametrize("corrupt_train", [False, True], ids=["test-only", "corrupt-train"])
+    def test_noisy_pool_is_freed_as_it_is_buffered(self, rng, corrupt_train):
+        # preprocess gets each noisy pool as a generator, so the filter holds it
+        # twice at the peak (buffer and results), like a pool handed over to it
+        count, frames, joints = 24, 400, 20
+        actions = [ActionMatrix(20.0 * rng.standard_normal((frames, joints)), 120.0, f"c{i % 3}",
+                                "s", f"a{i}") for i in range(count)]
+        plan = SplitPlan.stratified_kfold([a.class_label for a in actions], k=3, seed=0)
+
+        def sweep():
+            return noise_sweep(actions, [0.0, 2.0], jm=joints, spec=CSM, plan=plan, seed=1,
+                               preprocess=lambda pool: butterworth_filter(pool, FilterSpec()),
+                               corrupt_train=corrupt_train)
+
+        expected = sweep()  # first-call imports and caches stay out of the measured peak
+        rows, peak = traced_peak(sweep)
+        assert [(r.sigma_deg, r.accuracy_mean) for r in rows] == [
+            (r.sigma_deg, r.accuracy_mean) for r in expected]
+        assert peak < pool_held_twice(count, frames, joints)

@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -230,6 +231,19 @@ class TestLoadDataset:
             load_dataset(manifest)
 
 
+def spy_pools(monkeypatch):
+    """The worker count of every process pool ``ingest`` starts from now on."""
+    pools = []
+
+    class Spy(ingest.ProcessPoolExecutor):
+        def __init__(self, workers, **kwargs):
+            pools.append(workers)
+            super().__init__(workers, **kwargs)
+
+    monkeypatch.setattr(ingest, "ProcessPoolExecutor", Spy)
+    return pools
+
+
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(), reason="the pool needs fork"
 )
@@ -287,14 +301,7 @@ class TestParsePool:
         assert errors == [message, message]
 
     def test_pool_only_with_more_than_one_cpu_and_file(self, tmp_path, monkeypatch):
-        pools = []
-
-        class Spy(ingest.ProcessPoolExecutor):
-            def __init__(self, workers, **kwargs):
-                pools.append(workers)
-                super().__init__(workers, **kwargs)
-
-        monkeypatch.setattr(ingest, "ProcessPoolExecutor", Spy)
+        pools = spy_pools(monkeypatch)
         files = [(f"a{i}.csv", "1,2\n3,4\n", {"action_id": f"a{i}"}) for i in range(3)]
         manifest = write_dataset(tmp_path, files)
         (tmp_path / "one").mkdir()
@@ -580,3 +587,99 @@ class TestRoundTrip:
             assert reread.subject_id == original.subject_id
             assert reread.action_id == original.action_id
             assert reread.frame_rate == original.frame_rate
+
+
+def manifest_for(entries):
+    """A manifest of (action_id, path) pairs."""
+    return ingest.DatasetManifest("saved", tuple(
+        ingest.ManifestEntry(path, "c", "s", action_id, 30.0) for action_id, path in entries
+    ))
+
+
+def written(out_dir):
+    return {p.relative_to(out_dir).as_posix(): p.read_bytes() for p in sorted(out_dir.rglob("*"))}
+
+
+class TestSaveDataset:
+    # each value's shortest round-trip repr, as the writer prints it
+    SPECIAL = [(-0.0, "-0.0"), (5e-324, "5e-324"), (1e308, "1e+308"), (0.1, "0.1")]
+
+    def special_values(self):
+        values = np.array([v for v, _ in self.SPECIAL])
+        return np.column_stack([values, -values, values[::-1]])
+
+    def mixed_actions(self, rng):
+        special = self.special_values()
+        actions = [
+            ActionMatrix(special, 30.0, action_id="special"),
+            ActionMatrix(special[:, :1], 30.0, action_id="one-column"),
+        ]
+        actions += [random_action(rng, joints=j, frames=f, action_id=f"odd{j}")
+                    for j, f in [(1, 2), (3, 7), (5, 30), (7, 11), (9, 4), (31, 3)]]
+        # the writer formats any 2-D samples; an ActionMatrix needs 2 frames
+        actions.append(SimpleNamespace(action_id="one-row", samples=special[None, :, 0]))
+        return actions
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="the pool needs fork"
+    )
+    def test_pool_bytes_equal_serial_bytes(self, tmp_path, monkeypatch, rng):
+        pools = spy_pools(monkeypatch)
+        actions = self.mixed_actions(rng)
+        manifest = manifest_for([(a.action_id, f"{a.action_id}.csv") for a in actions])
+        files = []
+        for n in (2, 1):
+            set_cpus(monkeypatch, n)
+            save_dataset(actions, manifest, tmp_path / f"cpus{n}")
+            files.append(written(tmp_path / f"cpus{n}"))
+        assert pools == [2]
+        assert files[0] == files[1]
+        assert sorted(files[0]) == sorted([f"{a.action_id}.csv" for a in actions] + ["manifest.json"])
+        for action in actions:
+            expected = "".join(",".join(map(repr, row)) + "\n" for row in action.samples.tolist())
+            assert files[0][f"{action.action_id}.csv"] == expected.encode("utf-8")
+        assert files[0]["one-row.csv"] == (",".join(text for _, text in self.SPECIAL) + "\n").encode()
+        assert files[0]["one-column.csv"] == "".join(text + "\n" for _, text in self.SPECIAL).encode()
+
+    def test_save_then_load_is_bit_identical(self, tmp_path, cpus, rng):
+        actions = [ActionMatrix(self.special_values(), 30.0, action_id="special")]
+        actions += [random_action(rng, joints=3, frames=f, action_id=f"r{f}") for f in (2, 7, 30, 11)]
+        manifest = manifest_for([(a.action_id, f"{a.action_id}.csv") for a in actions])
+        loaded = load_dataset(save_dataset(actions, manifest, tmp_path / "data"))
+        assert [a.action_id for a in loaded] == [a.action_id for a in actions]
+        for original, reread in zip(actions, loaded):
+            assert reread.samples.tobytes(order="A") == original.samples.tobytes(order="A")
+
+    def test_missing_directory_fails_at_the_first_such_entry(self, tmp_path, cpus, rng):
+        actions = [random_action(rng, joints=3, frames=5, action_id=f"a{i:02d}") for i in range(12)]
+        paths = [f"a{i:02d}.csv" for i in range(12)]
+        paths[3], paths[9] = "missing/a03.csv", "gone/a09.csv"
+        out = tmp_path / "out"
+        with pytest.raises(OSError) as exc:
+            save_dataset(actions, manifest_for(zip([a.action_id for a in actions], paths)), out)
+        assert exc.value.filename == str(out / "missing" / "a03.csv")
+        assert str(out / "missing" / "a03.csv") in str(exc.value)
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("case, message", [
+        ("shared id", "actions share an action_id: 'a1'"),
+        ("missing action", "manifest entries have no matching action: 'a5', 'a7'"),
+        ("same file", "{out}/a0.csv: action 'a4' and action 'a0' resolve to the same file"),
+        ("manifest file", "{out}/manifest.json: action 'a4' and the manifest resolve to the same file"),
+    ], ids=["shared-id", "missing-action", "same-file", "manifest-file"])
+    def test_collisions_fail_before_any_file_is_written(self, tmp_path, cpus, rng, case, message):
+        actions = [random_action(rng, joints=3, frames=5, action_id=f"a{i}") for i in range(8)]
+        entries = [(a.action_id, f"{a.action_id}.csv") for a in actions]
+        if case == "shared id":
+            actions[6] = ActionMatrix(actions[6].samples, 30.0, action_id="a1")
+        elif case == "missing action":
+            del actions[7], actions[5]
+        elif case == "same file":
+            entries[4] = ("a4", "./a0.csv")
+        else:
+            entries[4] = ("a4", "manifest.json")
+        out = tmp_path / "out"
+        expected = message.format(out=out)
+        with pytest.raises(DatasetError, match=f"^{re.escape(expected)}$"):
+            save_dataset(actions, manifest_for(entries), out)
+        assert not out.exists()
