@@ -17,9 +17,7 @@ from .descriptor import (
 )
 from .evaluation import (
     EvalReport,
-    NoiseRow,
     SplitPlan,
-    SweepCell,
     evaluate,
     inject_agwn,
     mij_sweep,

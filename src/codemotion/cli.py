@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -19,7 +20,7 @@ from .ingest import (
     load_dataset,
     save_dataset,
 )
-from .similarity import Metric, MetricSpec
+from .similarity import FeatureSet, Metric, MetricSpec
 
 __all__ = ["main"]
 
@@ -64,14 +65,10 @@ def _metric_spec(args) -> MetricSpec:
     return MetricSpec.parse(args.metric, args.features)
 
 
-def _csv_list(text: str) -> list[str]:
-    return [item.strip() for item in text.split(",") if item.strip()]
-
-
 def _list_flag(text: str, flag: str, parse=str) -> list:
     """The parsed values of a comma-separated list flag, none of them repeated, at least one."""
     values = []
-    for item in _csv_list(text):
+    for item in filter(None, map(str.strip, text.split(","))):
         try:
             value = parse(item)
         except ValueError:
@@ -209,7 +206,7 @@ def cmd_crossval(args) -> int:
 
 
 def cmd_cross_subject(args) -> int:
-    train_subjects = _csv_list(args.train_subjects)
+    train_subjects = _list_flag(args.train_subjects, "--train-subjects")
     report = _evaluate_split(
         args,
         lambda actions: SplitPlan.cross_subject([a.subject_id for a in actions], train_subjects),
@@ -231,21 +228,22 @@ def cmd_sweep(args) -> int:
         else:
             specs.extend(MetricSpec.parse(metric, f) for f in features)
     plan = SplitPlan.stratified_kfold([a.class_label for a in actions], args.folds, args.seed)
-    cells = mij_sweep(actions, jm_values, specs, plan)
+    reports = mij_sweep(actions, jm_values, specs, plan)
+    cells = list(zip(itertools.product(jm_values, specs), reports))
     rows = [
         (
-            cell.jm,
-            cell.spec.kind.value,
-            cell.spec.features.value,
-            _fmt(cell.accuracy_mean),
-            _fmt(cell.accuracy_std),
-            cell.descriptor_len,
+            jm,
+            spec.kind.value,
+            spec.features.value,
+            _fmt(report.accuracy_mean),
+            _fmt(report.accuracy_std),
+            stacked_length(jm),
         )
-        for cell in cells
+        for (jm, spec), report in cells
     ]
     _write_csv(args.out, ["jm", "metric", "features", "accuracy_mean", "accuracy_std", "descriptor_len"], rows)
     # Soft comparison, reported but never asserted: CSM tends to win at small jm.
-    by_key = {(cell.jm, cell.spec.kind.value): cell.accuracy_mean for cell in cells}
+    by_key = {(jm, spec.kind.value): report.accuracy_mean for (jm, spec), report in cells}
     for jm in jm_values:
         csm_acc = by_key.get((jm, "csm"))
         man_acc = by_key.get((jm, "manhattan"))
@@ -261,25 +259,23 @@ def cmd_noise(args) -> int:
     sigmas = sorted(_list_flag(args.sigmas, "--sigmas", float))
     if not all(math.isfinite(s) and s >= 0 for s in sigmas):
         raise ValueError("--sigmas: noise standard deviations must be finite and non-negative")
-    filter_spec = _filter_spec(args)
-    prep = None if filter_spec is None else (lambda pool: butterworth_filter(pool, filter_spec))
     plan = SplitPlan.stratified_kfold([a.class_label for a in actions], args.folds, args.seed)
-    rows = noise_sweep(
+    reports = noise_sweep(
         actions,
         sigmas,
         args.jm,
         spec,
         plan,
         seed=args.seed,
-        preprocess=prep,
+        filter_spec=_filter_spec(args),
         corrupt_train=args.corrupt_train,
     )
     _write_csv(
         args.out,
         ["sigma_deg", "accuracy_mean", "accuracy_std"],
-        [(_fmt(r.sigma_deg), _fmt(r.accuracy_mean), _fmt(r.accuracy_std)) for r in rows],
+        [(_fmt(s), _fmt(r.accuracy_mean), _fmt(r.accuracy_std)) for s, r in zip(sigmas, reports)],
     )
-    print(f"wrote {len(rows)} noise rows to {args.out}")
+    print(f"wrote {len(reports)} noise rows to {args.out}")
     return 0
 
 
@@ -314,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_filter_flags(p)
         if metric:
             p.add_argument("--metric", default="csm", choices=[m.value for m in Metric])
-            p.add_argument("--features", default="full", choices=["var", "var-vel", "full"])
+            p.add_argument("--features", default="full", choices=[f.value for f in FeatureSet])
         if folds:
             p.add_argument("--folds", type=int, default=10, metavar="K")
         if seed:

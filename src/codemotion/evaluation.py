@@ -8,14 +8,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptor import ActionMatrix, CodeDescriptor, compute_descriptor, stacked_length
+from .descriptor import ActionMatrix, CodeDescriptor, compute_descriptor
+from .ingest import FilterSpec, butterworth_filter
 from .similarity import MetricSpec, similarity_matrix
 
 __all__ = [
     "SplitPlan",
     "EvalReport",
-    "SweepCell",
-    "NoiseRow",
     "evaluate",
     "mij_sweep",
     "inject_agwn",
@@ -207,6 +206,14 @@ def _describe(dataset, jm: int) -> tuple[list[CodeDescriptor], float]:
     return descriptors, time.perf_counter() - t0
 
 
+def _union(index_arrays, size: int) -> np.ndarray:
+    """The sorted distinct indices of ``index_arrays``, all in ``[0, size)``.
+
+    A mask, not ``np.unique``, whose plain form imports ``numpy.ma``.
+    """
+    return np.flatnonzero(np.bincount(np.concatenate(index_arrays), minlength=size))
+
+
 def _classify(queries, references, labels, spec, plan, descriptor_time) -> EvalReport:
     """1-NN over every fold of ``plan``, the one classification step of every protocol.
 
@@ -219,8 +226,8 @@ def _classify(queries, references, labels, spec, plan, descriptor_time) -> EvalR
     t0 = time.perf_counter()
     # The union also scores each fold's test items against each other, cells no
     # fold reads; one call is still cheaper than one per fold at workload scale.
-    rows = np.unique(np.concatenate([test for _, test in plan.folds]))
-    cols = np.unique(np.concatenate([train for train, _ in plan.folds]))
+    rows = _union([test for _, test in plan.folds], len(queries))
+    cols = _union([train for train, _ in plan.folds], len(references))
     matrix = similarity_matrix([queries[i] for i in rows], [references[j] for j in cols], spec)
     fold_confusions = []
     for train, test in plan.folds:
@@ -233,35 +240,8 @@ def _classify(queries, references, labels, spec, plan, descriptor_time) -> EvalR
     return _aggregate_report(fold_confusions, descriptor_time, classify_time, classes.tolist())
 
 
-def evaluate(dataset, jm: int, spec: MetricSpec, plan: SplitPlan) -> EvalReport:
-    """Run 1-NN classification over every fold of a plan and aggregate the metrics.
-
-    Descriptors are computed, and scored, once for the whole dataset.
-    """
-    dataset = list(dataset)
-    if not dataset:
-        raise ValueError("dataset is empty")
-    descriptors, descriptor_time = _describe(dataset, jm)
-    labels = [a.class_label for a in dataset]
-    return _classify(descriptors, descriptors, labels, spec, plan, descriptor_time)
-
-
-@dataclass(frozen=True, eq=False)
-class SweepCell:
-    """One (jm, metric) point of a MIJ-count sweep."""
-
-    jm: int
-    spec: MetricSpec
-    accuracy_mean: float
-    accuracy_std: float
-    descriptor_len: int
-
-
-def mij_sweep(dataset, jm_values, specs, plan: SplitPlan) -> list[SweepCell]:
-    """Evaluate every (jm, spec) combination; also reports the stacked descriptor size.
-
-    Descriptors are computed once per jm and shared by all specs.
-    """
+def _pool(dataset, jm_values) -> tuple[list, list]:
+    """The actions as a list and their labels, once every jm fits the joint count."""
     dataset = list(dataset)
     if not dataset:
         raise ValueError("dataset is empty")
@@ -269,22 +249,28 @@ def mij_sweep(dataset, jm_values, specs, plan: SplitPlan) -> list[SweepCell]:
     for jm in jm_values:
         if not 1 <= jm <= num_joints:
             raise ValueError(f"jm={jm} is outside [1, {num_joints}]")
-    labels = [a.class_label for a in dataset]
-    cells = []
+    return dataset, [a.class_label for a in dataset]
+
+
+def evaluate(dataset, jm: int, spec: MetricSpec, plan: SplitPlan) -> EvalReport:
+    """Run 1-NN classification over every fold of a plan: ``mij_sweep``'s one-cell case."""
+    return mij_sweep(dataset, [jm], [spec], plan)[0]
+
+
+def mij_sweep(dataset, jm_values, specs, plan: SplitPlan) -> list[EvalReport]:
+    """One report per (jm, spec), jm-major in the given orders.
+
+    Descriptors are computed, and scored, once per jm for the whole dataset,
+    and shared by all specs.
+    """
+    dataset, labels = _pool(dataset, jm_values)
+    reports = []
     for jm in jm_values:
         descriptors, descriptor_time = _describe(dataset, jm)
-        for spec in specs:
-            report = _classify(descriptors, descriptors, labels, spec, plan, descriptor_time)
-            cells.append(
-                SweepCell(
-                    jm=int(jm),
-                    spec=spec,
-                    accuracy_mean=report.accuracy_mean,
-                    accuracy_std=report.accuracy_std,
-                    descriptor_len=stacked_length(jm),
-                )
-            )
-    return cells
+        reports.extend(
+            _classify(descriptors, descriptors, labels, spec, plan, descriptor_time) for spec in specs
+        )
+    return reports
 
 
 def inject_agwn(action: ActionMatrix, sigma_deg: float, seed) -> ActionMatrix:
@@ -302,13 +288,6 @@ def inject_agwn(action: ActionMatrix, sigma_deg: float, seed) -> ActionMatrix:
     return action.with_samples(noisy)
 
 
-@dataclass(frozen=True, eq=False)
-class NoiseRow:
-    sigma_deg: float
-    accuracy_mean: float
-    accuracy_std: float
-
-
 def noise_sweep(
     dataset,
     sigmas,
@@ -316,34 +295,33 @@ def noise_sweep(
     spec: MetricSpec,
     plan: SplitPlan,
     seed: int,
-    preprocess=None,
+    filter_spec: FilterSpec | None = None,
     corrupt_train: bool = False,
-) -> list[NoiseRow]:
-    """Accuracy as a function of injected noise level.
+) -> list[EvalReport]:
+    """One report per noise level, in the order of ``sigmas``.
 
-    Noise lands on raw angles and ``preprocess`` (typically the low-pass
-    filter) runs afterwards, so the injection-before-filtering ordering
-    holds by construction. ``preprocess`` maps an iterable of actions, one
-    whole pool, to a list of the same length and order, so a batched filter
-    handles one pool per call; each noisy pool comes as a generator, which
-    lets the filter free every noisy action once it is buffered. By
-    default only test items are corrupted; ``corrupt_train`` extends the
+    Noise lands on raw angles and the low-pass filter of ``filter_spec``,
+    if any, runs afterwards, so the injection-before-filtering ordering
+    holds by construction. Each noisy pool reaches the filter as a
+    generator, which lets it free every noisy action once it is buffered.
+    By default only test items are corrupted; ``corrupt_train`` extends the
     corruption to the training pool. The per-item noise streams derive
     from (seed, sigma index, item index) alone.
     """
-    dataset = list(dataset)
-    if not dataset:
-        raise ValueError("dataset is empty")
-    prep = preprocess if preprocess is not None else list
-    labels = [a.class_label for a in dataset]
+    dataset, labels = _pool(dataset, [jm])
+
+    def prep(actions):
+        return list(actions) if filter_spec is None else butterworth_filter(actions, filter_spec)
+
     # with corrupt_train the clean pool is never scored, so it is not described
     clean = None if corrupt_train else _describe(prep(dataset), jm)[0]
-    rows = []
+    reports = []
     for s_idx, sigma in enumerate(sigmas):
         noisy, descriptor_time = _describe(
             prep(inject_agwn(a, float(sigma), seed=[seed, s_idx, i]) for i, a in enumerate(dataset)),
             jm,
         )
-        report = _classify(noisy, noisy if corrupt_train else clean, labels, spec, plan, descriptor_time)
-        rows.append(NoiseRow(float(sigma), report.accuracy_mean, report.accuracy_std))
-    return rows
+        reports.append(
+            _classify(noisy, noisy if corrupt_train else clean, labels, spec, plan, descriptor_time)
+        )
+    return reports

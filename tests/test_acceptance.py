@@ -287,20 +287,20 @@ def test_criterion_7_rhdm05_cross_subject():
 
 def test_criterion_8_noise_robustness(synthetic_dataset):
     actions, plan = synthetic_dataset
-    spec = FilterSpec(cutoff_hz=10.0)
-    rows = noise_sweep(
+    sigmas = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    reports = noise_sweep(
         actions,
-        [0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
+        sigmas,
         jm=10,
         spec=CSM_SPEC,
         plan=plan,
         seed=99,
-        preprocess=lambda pool: butterworth_filter(pool, spec),
+        filter_spec=FilterSpec(cutoff_hz=10.0),
     )
-    acc = {row.sigma_deg: row.accuracy_mean for row in rows}
+    acc = {sigma: report.accuracy_mean for sigma, report in zip(sigmas, reports, strict=True)}
     drop_ok = acc[5.0] >= acc[0.0] - 0.10
     monotone_ok = all(
-        rows[i + 1].accuracy_mean <= rows[i].accuracy_mean + 0.02 for i in range(len(rows) - 1)
+        reports[i + 1].accuracy_mean <= reports[i].accuracy_mean + 0.02 for i in range(len(reports) - 1)
     )
     pretty = ", ".join(f"{s:.0f}:{a:.4f}" for s, a in acc.items())
     check(

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from codemotion import (
-    FilterSpec, SyntheticConfig, butterworth_filter, generate_synthetic, load_dataset, save_dataset,
+    FilterSpec, Metric, MetricSpec, SplitPlan, SyntheticConfig, butterworth_filter, evaluate,
+    generate_synthetic, load_dataset, noise_sweep, save_dataset,
 )
 from codemotion.cli import _load_actions, build_parser, main
 from conftest import pool_held_twice, traced_peak
@@ -41,6 +42,19 @@ def synth_dir(tmp_path_factory):
         "gen-synth", "--classes", 2, "--per-class", 4, "--subjects", 2,
         "--joints", 10, "--frames", 90, "--seed", 11,
         "--active-joints", 3, "--disjoint", "--out-dir", out,
+    )
+    assert code == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def noisy_dir(tmp_path_factory):
+    """Small motions under large noise: the low-pass filter changes the predictions."""
+    out = tmp_path_factory.mktemp("noisy")
+    code = run(
+        "gen-synth", "--classes", 3, "--per-class", 4, "--subjects", 2,
+        "--joints", 8, "--frames", 60, "--frame-rate", 60, "--seed", 5,
+        "--amplitude", 4, "--noise-std", 8, "--out-dir", out,
     )
     assert code == 0
     return out
@@ -204,6 +218,38 @@ class TestCrossval:
         err = capsys.readouterr().err
         assert "degenerate action" in err and "'flat_take'" in err
 
+    def test_no_filter_equals_evaluate_on_the_raw_pool(self, noisy_dir, tmp_path):
+        manifest = noisy_dir / "manifest.json"
+        reports = {}
+        for name, flags in (("raw", ["--no-filter"]), ("filtered", [])):
+            out = tmp_path / f"{name}.json"
+            assert run("crossval", "--manifest", manifest, "--jm", 4, "--folds", 3, "--seed", 2,
+                       *flags, "--out", out) == 0
+            reports[name] = json.loads(out.read_text())
+            del reports[name]["timing"]
+        raw = reports["raw"]
+        assert raw.pop("protocol")["filter_cutoff_hz"] is None
+        del raw["dataset"]
+        actions = load_dataset(manifest)
+        plan = SplitPlan.stratified_kfold([a.class_label for a in actions], 3, 2)
+        expected = evaluate(actions, 4, MetricSpec(Metric.CSM), plan).to_dict()
+        del expected["timing"]
+        assert raw == expected
+        # the filter changes the report on this set, so a run that filtered would show
+        assert reports["filtered"]["folds"] != raw["folds"]
+
+    def test_run_leaves_numpy_ma_unimported(self, synth_dir, tmp_path):
+        # numpy.ma costs 12-15 ms to import and no command needs it
+        loaded = run_python(
+            "import sys\n"
+            "from codemotion.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n",
+            "crossval", "--manifest", synth_dir / "manifest.json", "--jm", 3, "--folds", 4,
+            "--seed", 3, "--out", tmp_path / "report.json",
+        )
+        assert loaded.splitlines()[-1] == "False"
+
     def test_seed_is_required(self, synth_dir, tmp_path, capsys):
         code = run("crossval", "--manifest", synth_dir / "manifest.json",
                    "--jm", 3, "--out", tmp_path / "x.json")
@@ -267,11 +313,16 @@ class TestSweep:
         ("--jm", ","), ("--jm", "2,2"), ("--jm", "2,02"), ("--jm", "two"),
         ("--metric", ""), ("--metric", "csm,csm"),
         ("--features", ","), ("--features", "var, var"),
+        ("--train-subjects", ","), ("--train-subjects", "subject00,subject00"),
     ])
     def test_empty_or_repeated_list_is_input_error(self, synth_dir, tmp_path, capsys, flag, value):
+        # --train-subjects is cross-subject's list flag; the others are sweep's
         out = tmp_path / "sweep.csv"
-        code = run("sweep", "--manifest", synth_dir / "manifest.json",
-                   "--folds", 4, "--seed", 3, flag, value, "--out", out)
+        if flag == "--train-subjects":
+            command = ["cross-subject", "--jm", 3]
+        else:
+            command = ["sweep", "--folds", 4, "--seed", 3]
+        code = run(*command, "--manifest", synth_dir / "manifest.json", flag, value, "--out", out)
         assert code == 1
         assert f"error: {flag}: " in capsys.readouterr().err
         assert not out.exists()
@@ -298,6 +349,25 @@ class TestNoise:
                    "--out", out) == 0
         sigmas = [float(r["sigma_deg"]) for r in csv.DictReader(out.open())]
         assert sigmas == sorted(sigmas) == [1.0, 3.0, 5.0]
+
+    @pytest.mark.parametrize("corrupt", [[], ["--corrupt-train"]], ids=["test-only", "corrupt-train"])
+    def test_no_filter_equals_unfiltered_noise_sweep(self, noisy_dir, tmp_path, corrupt):
+        manifest = noisy_dir / "manifest.json"
+        rows = {}
+        for name, flags in (("raw", ["--no-filter"]), ("filtered", [])):
+            out = tmp_path / f"{name}.csv"
+            assert run("noise", "--manifest", manifest, "--jm", 4, "--folds", 3, "--seed", 2,
+                       "--sigmas", "0,3", *flags, *corrupt, "--out", out) == 0
+            rows[name] = list(csv.reader(out.open()))[1:]
+        actions = load_dataset(manifest)
+        plan = SplitPlan.stratified_kfold([a.class_label for a in actions], 3, 2)
+        reports = noise_sweep(actions, [0.0, 3.0], 4, MetricSpec(Metric.CSM), plan, seed=2,
+                              filter_spec=None, corrupt_train=bool(corrupt))
+        assert rows["raw"] == [
+            [repr(s), repr(r.accuracy_mean), repr(r.accuracy_std)] for s, r in zip([0.0, 3.0], reports)
+        ]
+        # the filter changes the rows on this set, so a run that filtered would show
+        assert rows["filtered"] != rows["raw"]
 
     def test_negative_sigma_is_input_error(self, synth_dir, tmp_path, capsys):
         code = run("noise", "--manifest", synth_dir / "manifest.json",

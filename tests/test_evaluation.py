@@ -316,19 +316,46 @@ class TestOneClassificationPath:
         assert len(train) + len(test) == len(actions)
 
 
+def without_timing(report):
+    payload = report.to_dict()
+    del payload["timing"]
+    return payload
+
+
 class TestMijSweep:
-    def test_descriptor_sizes_reported(self):
-        actions = disjoint_dataset(per_class=4, joints=31)
-        plan = SplitPlan.stratified_kfold([a.class_label for a in actions], k=4, seed=0)
-        cells = mij_sweep(actions, [2, 20, 30], [CSM], plan)
-        sizes = {c.jm: c.descriptor_len for c in cells}
-        assert sizes == {2: 9, 20: 270, 30: 555}
+    def test_reports_equal_per_cell_evaluate_in_jm_major_order(self, rng):
+        # random classes, so the cells differ from one another
+        actions = [random_action(rng, joints=6, frames=20, class_label=f"c{i % 3}") for i in range(18)]
+        plan = SplitPlan.stratified_kfold([a.class_label for a in actions], k=3, seed=4)
+        specs = [CSM, MetricSpec(Metric.MANHATTAN, FeatureSet.VARIANCE),
+                 MetricSpec(Metric.EUCLIDEAN, FeatureSet.FULL)]
+        reports = mij_sweep(actions, [4, 2], specs, plan)
+        expected = [evaluate(actions, jm, spec, plan) for jm in (4, 2) for spec in specs]
+        assert [without_timing(r) for r in reports] == [without_timing(r) for r in expected]
+        assert len({str(without_timing(r)) for r in reports}) > 1
 
     def test_jm_beyond_joint_count_rejected(self):
         actions = disjoint_dataset(per_class=3, joints=8)
         plan = SplitPlan.stratified_kfold([a.class_label for a in actions], k=3, seed=0)
         with pytest.raises(ValueError, match="jm"):
             mij_sweep(actions, [9], [CSM], plan)
+
+    @pytest.mark.parametrize("jm", [0, 9])
+    def test_every_protocol_checks_jm_up_front(self, monkeypatch, jm):
+        # one range check for every protocol, before any descriptor is computed
+        def never(action, jm):
+            raise AssertionError("a descriptor was computed")
+
+        monkeypatch.setattr(evaluation, "compute_descriptor", never)
+        actions = disjoint_dataset(per_class=3, joints=8)
+        plan = SplitPlan.stratified_kfold([a.class_label for a in actions], k=3, seed=0)
+        message = rf"jm={jm} is outside \[1, 8\]"
+        with pytest.raises(ValueError, match=message):
+            evaluate(actions, jm, CSM, plan)
+        with pytest.raises(ValueError, match=message):
+            mij_sweep(actions, [2, jm], [CSM], plan)
+        with pytest.raises(ValueError, match=message):
+            noise_sweep(actions, [0.0], jm, CSM, plan, seed=1)
 
     def test_variance_only_accuracy_invariant_to_joint_permutation(self, rng):
         actions = [random_action(rng, joints=5, frames=24, class_label=f"c{i % 2}",
@@ -350,7 +377,8 @@ class TestMijSweep:
         specs = [CSM, MetricSpec(Metric.MANHATTAN, FeatureSet.VARIANCE)]
         first = mij_sweep(actions, [2, 3], specs, plan)
         second = mij_sweep(actions, [2, 3], specs, plan)
-        assert [(c.jm, c.accuracy_mean) for c in first] == [(c.jm, c.accuracy_mean) for c in second]
+        assert len(first) == 4
+        assert [without_timing(r) for r in first] == [without_timing(r) for r in second]
 
 
 class TestInjectAgwn:
@@ -384,18 +412,47 @@ class TestNoiseSweep:
         # random classes, so the fold accuracies differ and their std is not trivially 0
         actions = [random_action(rng, joints=6, frames=20, class_label=f"c{i % 3}") for i in range(18)]
         plan = SplitPlan.stratified_kfold([a.class_label for a in actions], k=3, seed=0)
-        rows = noise_sweep(actions, [0.0, 1.0], jm=3, spec=CSM, plan=plan, seed=11)
+        reports = noise_sweep(actions, [0.0, 1.0], jm=3, spec=CSM, plan=plan, seed=11)
         report = evaluate(actions, jm=3, spec=CSM, plan=plan)
         assert report.accuracy_std > 0.0
-        assert rows[0].sigma_deg == 0.0
-        assert rows[0].accuracy_mean == report.accuracy_mean
-        assert rows[0].accuracy_std == report.accuracy_std
+        assert len(reports) == 2
+        assert reports[0].accuracy_mean == report.accuracy_mean
+        assert reports[0].accuracy_std == report.accuracy_std
+        assert without_timing(reports[0]) == without_timing(report)
 
-    def test_rows_follow_requested_sigmas(self):
+    def test_filtered_sigma_zero_matches_evaluate_on_the_filtered_pool(self, rng):
+        actions = [random_action(rng, joints=6, frames=40, frame_rate=120.0, class_label=f"c{i % 3}")
+                   for i in range(18)]
+        plan = SplitPlan.stratified_kfold([a.class_label for a in actions], k=3, seed=0)
+        reports = noise_sweep(actions, [0.0, 1.0], jm=3, spec=CSM, plan=plan, seed=11,
+                              filter_spec=FilterSpec())
+        filtered = evaluate(butterworth_filter(actions, FilterSpec()), jm=3, spec=CSM, plan=plan)
+        assert without_timing(reports[0]) == without_timing(filtered)
+        # the filter changes the outcome here, so skipping it would show
+        assert without_timing(filtered) != without_timing(evaluate(actions, jm=3, spec=CSM, plan=plan))
+
+    def test_rows_follow_requested_sigmas(self, monkeypatch):
+        # one report per sigma, in the given order: each pool is scored right
+        # after the noise of its own sigma is injected
+        log = []
+        real_inject, real_matrix = evaluation.inject_agwn, evaluation.similarity_matrix
+
+        def injecting(action, sigma_deg, seed):
+            if not log or log[-1] != sigma_deg:
+                log.append(sigma_deg)
+            return real_inject(action, sigma_deg, seed)
+
+        def scoring(queries, references, spec):
+            log.append("scored")
+            return real_matrix(queries, references, spec)
+
+        monkeypatch.setattr(evaluation, "inject_agwn", injecting)
+        monkeypatch.setattr(evaluation, "similarity_matrix", scoring)
         actions = disjoint_dataset(per_class=3)
         plan = SplitPlan.stratified_kfold([a.class_label for a in actions], k=3, seed=0)
-        rows = noise_sweep(actions, [0.0, 2.0, 5.0], jm=2, spec=CSM, plan=plan, seed=1)
-        assert [r.sigma_deg for r in rows] == [0.0, 2.0, 5.0]
+        reports = noise_sweep(actions, [5.0, 0.0, 2.0], jm=2, spec=CSM, plan=plan, seed=1)
+        assert len(reports) == 3
+        assert log == [5.0, "scored", 0.0, "scored", 2.0, "scored"]
 
     @pytest.mark.parametrize("corrupt_train, expected", [(True, 16), (False, 24)])
     def test_clean_pool_described_only_when_scored(self, monkeypatch, corrupt_train, expected):
@@ -422,11 +479,11 @@ class TestNoiseSweep:
         both = noise_sweep(actions, [3.0], jm=2, spec=CSM, plan=plan, seed=5, corrupt_train=True)
         again = noise_sweep(actions, [3.0], jm=2, spec=CSM, plan=plan, seed=5, corrupt_train=True)
         assert both[0].accuracy_mean == again[0].accuracy_mean
-        assert clean[0].sigma_deg == both[0].sigma_deg == 3.0
+        assert len(clean) == len(both) == 1
 
     @pytest.mark.parametrize("corrupt_train", [False, True], ids=["test-only", "corrupt-train"])
     def test_noisy_pool_is_freed_as_it_is_buffered(self, rng, corrupt_train):
-        # preprocess gets each noisy pool as a generator, so the filter holds it
+        # the filter gets each noisy pool as a generator, so it holds the pool
         # twice at the peak (buffer and results), like a pool handed over to it
         count, frames, joints = 24, 400, 20
         actions = [ActionMatrix(20.0 * rng.standard_normal((frames, joints)), 120.0, f"c{i % 3}",
@@ -435,11 +492,9 @@ class TestNoiseSweep:
 
         def sweep():
             return noise_sweep(actions, [0.0, 2.0], jm=joints, spec=CSM, plan=plan, seed=1,
-                               preprocess=lambda pool: butterworth_filter(pool, FilterSpec()),
-                               corrupt_train=corrupt_train)
+                               filter_spec=FilterSpec(), corrupt_train=corrupt_train)
 
         expected = sweep()  # first-call imports and caches stay out of the measured peak
-        rows, peak = traced_peak(sweep)
-        assert [(r.sigma_deg, r.accuracy_mean) for r in rows] == [
-            (r.sigma_deg, r.accuracy_mean) for r in expected]
+        reports, peak = traced_peak(sweep)
+        assert [r.accuracy_mean for r in reports] == [r.accuracy_mean for r in expected]
         assert peak < pool_held_twice(count, frames, joints)
