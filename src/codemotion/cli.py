@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from .descriptor import DegenerateActionError, stacked_length
-from .evaluation import SplitPlan, _describe, evaluate, mij_sweep, noise_sweep
+from .evaluation import SplitPlan, _describe, _pool, evaluate, mij_sweep, noise_sweep
 from .ingest import (
     DatasetError,
     FilterSpec,
@@ -56,8 +56,8 @@ def _load_actions(args):
     # the filter has taken the actions, and the filter can free each raw action
     # as it buffers it. Python 3.10 keeps a list passed as an argument alive
     # in the caller for the whole call; an exhausted iterator lets go of it.
-    actions = iter(load_dataset(args.manifest))
     spec = _filter_spec(args)
+    actions = iter(load_dataset(args.manifest))
     return list(actions) if spec is None else butterworth_filter(actions, spec)
 
 
@@ -126,7 +126,7 @@ def _sanitize(name: str) -> str:
 
 
 def cmd_describe(args) -> int:
-    actions = _load_actions(args)
+    actions, _ = _pool(_load_actions(args), [args.jm])
     names = [f"{_sanitize(a.action_id)}.json" for a in actions]
     owners = {}
     for action, name in zip(actions, names):
@@ -177,8 +177,8 @@ def _evaluate_split(args, split, protocol):
     ``protocol`` holds the report keys of the split's own kind; the keys
     every split shares are added here.
     """
-    actions = _load_actions(args)
     spec = _metric_spec(args)
+    actions = _load_actions(args)
     report = evaluate(actions, args.jm, spec, split(actions))
     protocol.update(
         jm=args.jm,
@@ -217,7 +217,6 @@ def cmd_cross_subject(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    actions = _load_actions(args)
     jm_values = _list_flag(args.jm, "--jm", int)
     metrics = _list_flag(args.metric, "--metric")
     features = _list_flag(args.features, "--features")
@@ -227,6 +226,7 @@ def cmd_sweep(args) -> int:
             specs.append(MetricSpec.parse(metric, "full"))
         else:
             specs.extend(MetricSpec.parse(metric, f) for f in features)
+    actions = _load_actions(args)
     plan = SplitPlan.stratified_kfold([a.class_label for a in actions], args.folds, args.seed)
     reports = mij_sweep(actions, jm_values, specs, plan)
     cells = list(zip(itertools.product(jm_values, specs), reports))
@@ -254,21 +254,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_noise(args) -> int:
-    actions = load_dataset(args.manifest)  # raw: noise must land before filtering
     spec = _metric_spec(args)
+    filter_spec = _filter_spec(args)
     sigmas = sorted(_list_flag(args.sigmas, "--sigmas", float))
     if not all(math.isfinite(s) and s >= 0 for s in sigmas):
         raise ValueError("--sigmas: noise standard deviations must be finite and non-negative")
+    actions = load_dataset(args.manifest)  # raw: noise must land before filtering
     plan = SplitPlan.stratified_kfold([a.class_label for a in actions], args.folds, args.seed)
     reports = noise_sweep(
-        actions,
-        sigmas,
-        args.jm,
-        spec,
-        plan,
-        seed=args.seed,
-        filter_spec=_filter_spec(args),
-        corrupt_train=args.corrupt_train,
+        actions, sigmas, args.jm, spec, plan,
+        seed=args.seed, filter_spec=filter_spec, corrupt_train=args.corrupt_train,
     )
     _write_csv(
         args.out,

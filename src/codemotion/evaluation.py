@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,16 +24,20 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class SplitPlan:
-    """A partition of dataset indices into (train, test) folds, none of them empty."""
+    """At least one (train, test) fold of integer dataset indices, none of them empty."""
 
     kind: str
     folds: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     def __post_init__(self) -> None:
+        if not self.folds:
+            raise ValueError(f"the {self.kind!r} plan has no folds")
         for n, (train, test) in enumerate(self.folds):
             for part, items in (("training", train), ("test", test)):
                 if len(items) == 0:
                     raise ValueError(f"fold {n} of the {self.kind!r} plan has an empty {part} set")
+                if not np.issubdtype(np.asarray(items).dtype, np.integer):
+                    raise ValueError(f"fold {n} of the {self.kind!r} plan has non-integer {part} indices")
 
     @staticmethod
     def stratified_kfold(labels, k: int, seed: int) -> "SplitPlan":
@@ -95,25 +99,41 @@ class SplitPlan:
 
 @dataclass(eq=False)
 class EvalReport:
-    """Classification outcome: confusion counts, accuracy, precision/recall, timings."""
+    """Classification outcome: class labels, per-fold confusion counts and timings.
+
+    Every other figure is derived from the fold confusions (rows true,
+    columns predicted) once, at construction: the pooled confusion, its
+    accuracy and precision/recall, and the fold means and stds of accuracy
+    and of the per-fold macro precision and recall.
+    """
 
     class_labels: list[str]
-    confusion: np.ndarray
-    accuracy: float
-    precision_per_class: np.ndarray
-    recall_per_class: np.ndarray
-    macro_precision: float
-    macro_recall: float
-    accuracy_mean: float
-    accuracy_std: float
-    precision_mean: float
-    precision_std: float
-    recall_mean: float
-    recall_std: float
-    fold_accuracies: list[float]
     fold_confusions: list[np.ndarray]
     descriptor_time: float
     classify_time: float
+    confusion: np.ndarray = field(init=False)
+    accuracy: float = field(init=False)
+    precision_per_class: np.ndarray = field(init=False)
+    recall_per_class: np.ndarray = field(init=False)
+    macro_precision: float = field(init=False)
+    macro_recall: float = field(init=False)
+    fold_accuracies: list[float] = field(init=False)
+    accuracy_mean: float = field(init=False)
+    accuracy_std: float = field(init=False)
+    precision_mean: float = field(init=False)
+    precision_std: float = field(init=False)
+    recall_mean: float = field(init=False)
+    recall_std: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.fold_confusions = list(self.fold_confusions)
+        self.fold_accuracies, fold_prec, fold_rec = map(list, zip(*map(_fold_metrics, self.fold_confusions)))
+        self.confusion = np.sum(self.fold_confusions, axis=0)
+        self.accuracy, self.macro_precision, self.macro_recall = _fold_metrics(self.confusion)
+        self.precision_per_class, self.recall_per_class = _per_class(self.confusion)
+        self.accuracy_mean, self.accuracy_std = _mean_std(self.fold_accuracies)
+        self.precision_mean, self.precision_std = _mean_std(fold_prec)
+        self.recall_mean, self.recall_std = _mean_std(fold_rec)
 
     def to_dict(self) -> dict:
         return {
@@ -171,33 +191,8 @@ def _fold_metrics(conf: np.ndarray) -> tuple[float, float, float]:
     return accuracy, float(precision[present].mean()), float(recall[present].mean())
 
 
-def _aggregate_report(fold_confusions, descriptor_time, classify_time, class_labels):
-    fold_stats = [_fold_metrics(conf) for conf in fold_confusions]
-    fold_acc = [s[0] for s in fold_stats]
-    fold_prec = [s[1] for s in fold_stats]
-    fold_rec = [s[2] for s in fold_stats]
-    confusion = np.sum(fold_confusions, axis=0)
-    accuracy, macro_precision, macro_recall = _fold_metrics(confusion)
-    precision_per_class, recall_per_class = _per_class(confusion)
-    return EvalReport(
-        class_labels=class_labels,
-        confusion=confusion,
-        accuracy=accuracy,
-        precision_per_class=precision_per_class,
-        recall_per_class=recall_per_class,
-        macro_precision=macro_precision,
-        macro_recall=macro_recall,
-        accuracy_mean=float(np.mean(fold_acc)),
-        accuracy_std=float(np.std(fold_acc)),
-        precision_mean=float(np.mean(fold_prec)),
-        precision_std=float(np.std(fold_prec)),
-        recall_mean=float(np.mean(fold_rec)),
-        recall_std=float(np.std(fold_rec)),
-        fold_accuracies=fold_acc,
-        fold_confusions=list(fold_confusions),
-        descriptor_time=descriptor_time,
-        classify_time=classify_time,
-    )
+def _mean_std(values) -> tuple[float, float]:
+    return float(np.mean(values)), float(np.std(values))
 
 
 def _describe(dataset, jm: int) -> tuple[list[CodeDescriptor], float]:
@@ -237,18 +232,26 @@ def _classify(queries, references, labels, spec, plan, descriptor_time) -> EvalR
         np.add.at(conf, (y[test], y[train[best]]), 1)
         fold_confusions.append(conf)
     classify_time = time.perf_counter() - t0
-    return _aggregate_report(fold_confusions, descriptor_time, classify_time, classes.tolist())
+    return EvalReport(classes.tolist(), fold_confusions, descriptor_time, classify_time)
 
 
-def _pool(dataset, jm_values) -> tuple[list, list]:
-    """The actions as a list and their labels, once every jm fits the joint count."""
+def _pool(dataset, jm_values, plan: SplitPlan | None = None) -> tuple[list, list]:
+    """The actions as a list and their labels, once every jm and every index of ``plan`` fit them."""
     dataset = list(dataset)
-    if not dataset:
+    n = len(dataset)
+    if not n:
         raise ValueError("dataset is empty")
     num_joints = dataset[0].num_joints
     for jm in jm_values:
         if not 1 <= jm <= num_joints:
             raise ValueError(f"jm={jm} is outside [1, {num_joints}]")
+    for f, fold in enumerate(() if plan is None else plan.folds):
+        for part, items in zip(("training", "test"), map(np.asarray, fold)):
+            outside = items[(items < 0) | (items >= n)]
+            if outside.size:
+                raise ValueError(
+                    f"fold {f} of the {plan.kind!r} plan has {part} index {outside[0]} outside [0, {n})"
+                )
     return dataset, [a.class_label for a in dataset]
 
 
@@ -263,7 +266,7 @@ def mij_sweep(dataset, jm_values, specs, plan: SplitPlan) -> list[EvalReport]:
     Descriptors are computed, and scored, once per jm for the whole dataset,
     and shared by all specs.
     """
-    dataset, labels = _pool(dataset, jm_values)
+    dataset, labels = _pool(dataset, jm_values, plan)
     reports = []
     for jm in jm_values:
         descriptors, descriptor_time = _describe(dataset, jm)
@@ -308,7 +311,7 @@ def noise_sweep(
     corruption to the training pool. The per-item noise streams derive
     from (seed, sigma index, item index) alone.
     """
-    dataset, labels = _pool(dataset, [jm])
+    dataset, labels = _pool(dataset, [jm], plan)
 
     def prep(actions):
         return list(actions) if filter_spec is None else butterworth_filter(actions, filter_spec)

@@ -151,6 +151,13 @@ class TestDescribe:
         assert "'summary'" in err and "summary.json" in err
         assert not out.exists()
 
+    def test_jm_beyond_joint_count_fails_before_writing(self, synth_dir, tmp_path, capsys):
+        # the same check and message as every evaluation protocol
+        out = tmp_path / "desc"
+        assert run("describe", "--manifest", synth_dir / "manifest.json", "--jm", 11, "--out", out) == 1
+        assert "error: jm=11 is outside [1, 10]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rerun_is_byte_identical_per_descriptor(self, synth_dir, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         for out in (out1, out2):
@@ -452,6 +459,32 @@ class TestExitCodes:
                    "--jm", 3, "--out", tmp_path / "out")
         assert code == 1
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["crossval", "--seed", 1, "--metric", "csm", "--features", "var"], "features must be 'full'"),
+        (["cross-subject", "--train-subjects", "s0", "--features", "var-vel"], "features must be 'full'"),
+        (["crossval", "--seed", 1, "--filter-order", 0], "order must be at least 1, got 0"),
+        (["describe", "--filter-cutoff", 0], "cutoff_hz must be positive, got 0.0"),
+        (["sweep", "--seed", 1, "--filter-cutoff", -1], "cutoff_hz must be positive, got -1.0"),
+        (["sweep", "--seed", 1, "--jm", "2,2"], "--jm: value '2' repeats an earlier value"),
+        (["sweep", "--seed", 1, "--metric", "csm,cosine"], "unknown metric 'cosine'"),
+        (["sweep", "--seed", 1, "--features", "var,all"], "unknown feature set 'all'"),
+        (["noise", "--seed", 1, "--sigmas", "1,1"], "--sigmas: value '1' repeats an earlier value"),
+        (["noise", "--seed", 1, "--sigmas", "-1"], "--sigmas: noise standard deviations must be finite"),
+        (["noise", "--seed", 1, "--metric", "csm", "--features", "var"], "features must be 'full'"),
+        (["noise", "--seed", 1, "--filter-order", 0], "order must be at least 1, got 0"),
+    ], ids=[
+        "crossval-csm-features", "cross-subject-csm-features", "crossval-filter-order",
+        "describe-filter-cutoff", "sweep-filter-cutoff", "sweep-jm", "sweep-metric", "sweep-features",
+        "noise-repeated-sigmas", "noise-negative-sigma", "noise-csm-features", "noise-filter-order",
+    ])
+    def test_flags_are_checked_before_the_manifest_is_read(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert run(*argv, "--manifest", tmp_path / "nope.json", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "not found" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("entries", [5, None, []])
     def test_malformed_entries_is_input_error(self, tmp_path, capsys, entries):

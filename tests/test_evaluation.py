@@ -3,6 +3,7 @@ import pytest
 
 from codemotion import (
     ActionMatrix,
+    EvalReport,
     FeatureSet,
     FilterSpec,
     Metric,
@@ -199,6 +200,61 @@ class TestEvaluate:
         assert len(payload["folds"]) == 4
 
 
+class TestEvalReport:
+    def test_figures_derive_from_hand_made_fold_confusions(self):
+        # rows true, columns predicted; "b" is absent from fold 1's test rows
+        # and "c" is never predicted
+        folds = [
+            np.array([[2, 1, 0], [1, 1, 0], [1, 0, 0]]),
+            np.array([[1, 0, 0], [0, 0, 0], [0, 2, 0]]),
+        ]
+        report = EvalReport(["a", "b", "c"], folds, 1.5, 0.25)
+        np.testing.assert_array_equal(report.confusion, [[3, 1, 0], [1, 1, 0], [1, 2, 0]])
+
+        def close(value):
+            return pytest.approx(value, rel=0, abs=1e-15)
+
+        # pooled: diagonal 4 of 9; precision over column sums 5, 4, 0, recall over row sums 4, 2, 3
+        assert report.accuracy == close(4 / 9)
+        assert report.precision_per_class.tolist() == close([3 / 5, 1 / 4, 0.0])
+        assert report.recall_per_class.tolist() == close([3 / 4, 1 / 2, 0.0])
+        assert report.macro_precision == close((3 / 5 + 1 / 4) / 3)
+        assert report.macro_recall == close((3 / 4 + 1 / 2) / 3)
+        # fold 0: 3 of 6, macro precision (1/2 + 1/2 + 0) / 3, recall (2/3 + 1/2 + 0) / 3;
+        # fold 1: 1 of 3, macros over the present classes "a" and "c" alone: (1 + 0) / 2
+        assert report.fold_accuracies == close([1 / 2, 1 / 3])
+        assert report.accuracy_mean == close(5 / 12)
+        assert report.accuracy_std == close(1 / 12)
+        assert report.precision_mean == close(5 / 12)
+        assert report.precision_std == close(1 / 12)
+        assert report.recall_mean == close(4 / 9)
+        assert report.recall_std == close(1 / 18)
+        assert report.to_dict() == {
+            "classes": ["a", "b", "c"],
+            "accuracy": {"overall": close(4 / 9), "mean": close(5 / 12), "std": close(1 / 12),
+                         "per_fold": close([1 / 2, 1 / 3])},
+            "precision": {"macro": close((3 / 5 + 1 / 4) / 3), "mean": close(5 / 12), "std": close(1 / 12),
+                          "per_class": {"a": close(3 / 5), "b": close(1 / 4), "c": 0.0}},
+            "recall": {"macro": close((3 / 4 + 1 / 2) / 3), "mean": close(4 / 9), "std": close(1 / 18),
+                       "per_class": {"a": close(3 / 4), "b": close(1 / 2), "c": 0.0}},
+            "confusion": [[3, 1, 0], [1, 1, 0], [1, 2, 0]],
+            "folds": [
+                {"index": 0, "accuracy": close(1 / 2), "confusion": folds[0].tolist()},
+                {"index": 1, "accuracy": close(1 / 3), "confusion": folds[1].tolist()},
+            ],
+            "timing": {"descriptor_s": 1.5, "classify_s": 0.25},
+        }
+
+    def test_rebuilt_from_its_inputs_equals_the_evaluated_report(self, rng):
+        actions = [random_action(rng, joints=6, frames=20, class_label=f"c{i % 3}") for i in range(18)]
+        plan = SplitPlan.stratified_kfold([a.class_label for a in actions], k=3, seed=2)
+        report = evaluate(actions, jm=3, spec=MetricSpec(Metric.MANHATTAN, FeatureSet.FULL), plan=plan)
+        rebuilt = EvalReport(
+            report.class_labels, report.fold_confusions, report.descriptor_time, report.classify_time
+        )
+        assert rebuilt.to_dict() == report.to_dict()
+
+
 class TestKnn1:
     """The 1-NN step, driven through evaluate with one hand-picked fold."""
 
@@ -211,6 +267,22 @@ class TestKnn1:
         actions = [random_action(rng, joints=6, frames=20) for _ in range(2)]
         with pytest.raises(ValueError, match="fold 0 of the 'one-fold' plan has an empty training set"):
             evaluate(actions, jm=3, spec=CSM, plan=one_fold([], [0, 1]))
+
+    @pytest.mark.parametrize("folds, message", [
+        ((), r"the 'hand' plan has no folds"),
+        (((np.arange(3), np.array([3, 7])),), r"fold 0 of the 'hand' plan has test index 7 outside \[0, 6\)"),
+        (((np.array([0, 1, -1]), np.arange(3, 6)),),
+         r"fold 0 of the 'hand' plan has training index -1 outside \[0, 6\)"),
+        (((np.arange(3.0), np.arange(3.0, 6.0)),), r"fold 0 of the 'hand' plan has non-integer training indices"),
+    ], ids=["no-folds", "test-index-n-plus-1", "negative-training-index", "float-indices"])
+    def test_bad_plan_is_named_before_any_descriptor(self, rng, monkeypatch, folds, message):
+        def never(action, jm):
+            raise AssertionError("a descriptor was computed")
+
+        monkeypatch.setattr(evaluation, "compute_descriptor", never)
+        actions = [random_action(rng, joints=6, frames=20, class_label=f"c{i % 2}") for i in range(6)]
+        with pytest.raises(ValueError, match=message):
+            evaluate(actions, jm=3, spec=CSM, plan=SplitPlan("hand", folds))
 
     def test_tie_goes_to_lowest_index(self, rng):
         # three copies of one action: every training item scores the same
