@@ -10,6 +10,7 @@ Pearson correlations between the selected joint trajectories.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -213,6 +214,15 @@ def _normalize_by_abs_sum(vec: np.ndarray) -> np.ndarray:
     return vec / denom
 
 
+@lru_cache(maxsize=None)
+def _rank_pairs(jm: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(jm, k=1)``, read-only: the rank positions of corr's pairs."""
+    pairs = np.triu_indices(jm, k=1)
+    for positions in pairs:
+        positions.setflags(write=False)
+    return pairs
+
+
 def pairwise_correlation(action: ActionMatrix, mij) -> np.ndarray:
     """Pearson correlation for every unordered pair of selected joints.
 
@@ -231,7 +241,7 @@ def pairwise_correlation(action: ActionMatrix, mij) -> np.ndarray:
     jm = mij.size
     if jm < 2:
         return np.empty(0, dtype=np.float64)
-    iu, ju = np.triu_indices(jm, k=1)
+    iu, ju = _rank_pairs(jm)
     valid = (var[iu] >= FLAT_VARIANCE_FLOOR) & (var[ju] >= FLAT_VARIANCE_FLOOR)
     denom = np.where(valid, np.sqrt(var[iu]) * np.sqrt(var[ju]), 1.0)
     out = np.where(valid, cov[iu, ju] / denom, 0.0)
@@ -250,7 +260,8 @@ def compute_descriptor(action: ActionMatrix, jm: int) -> CodeDescriptor:
         mij, var_norm = rank_mij(joint_variances(action), jm)
     except DegenerateActionError as exc:
         raise DegenerateActionError(f"action {action.action_id!r}: {exc}") from None
-    velocities = joint_velocities(action)[:, mij]
+    # np.gradient differentiates each column on its own, so the MIJ columns alone suffice
+    velocities = np.gradient(action.samples[:, mij], axis=0) * action.frame_rate
     vmax_norm, vmin_norm = extreme_velocities(velocities)
     corr = pairwise_correlation(action, mij)
     return CodeDescriptor(mij, var_norm, vmax_norm, vmin_norm, corr, jm)

@@ -24,7 +24,11 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class SplitPlan:
-    """At least one (train, test) fold of integer dataset indices, none of them empty."""
+    """At least one (train, test) fold of dataset indices.
+
+    Each set is stored as a non-empty 1-D integer array with no index
+    repeated, and no index is in both sets of its fold.
+    """
 
     kind: str
     folds: tuple[tuple[np.ndarray, np.ndarray], ...]
@@ -32,12 +36,24 @@ class SplitPlan:
     def __post_init__(self) -> None:
         if not self.folds:
             raise ValueError(f"the {self.kind!r} plan has no folds")
-        for n, (train, test) in enumerate(self.folds):
+        folds = tuple(tuple(map(np.asarray, fold)) for fold in self.folds)
+        for n, (train, test) in enumerate(folds):
+            where = f"fold {n} of the {self.kind!r} plan"
             for part, items in (("training", train), ("test", test)):
-                if len(items) == 0:
-                    raise ValueError(f"fold {n} of the {self.kind!r} plan has an empty {part} set")
-                if not np.issubdtype(np.asarray(items).dtype, np.integer):
-                    raise ValueError(f"fold {n} of the {self.kind!r} plan has non-integer {part} indices")
+                if items.size == 0:
+                    raise ValueError(f"{where} has an empty {part} set")
+                if not np.issubdtype(items.dtype, np.integer):
+                    raise ValueError(f"{where} has non-integer {part} indices")
+                if items.ndim != 1:
+                    raise ValueError(f"{where} has a {items.ndim}-D {part} set, not a list of indices")
+                ordered = np.sort(items)
+                repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+                if repeated.size:
+                    raise ValueError(f"{where} repeats {part} index {repeated[0]}")
+            shared = np.intersect1d(train, test, assume_unique=True)
+            if shared.size:
+                raise ValueError(f"{where} has index {shared[0]} in both its training and test sets")
+        object.__setattr__(self, "folds", folds)
 
     @staticmethod
     def stratified_kfold(labels, k: int, seed: int) -> "SplitPlan":
@@ -126,7 +142,12 @@ class EvalReport:
     recall_std: float = field(init=False)
 
     def __post_init__(self) -> None:
-        self.fold_confusions = list(self.fold_confusions)
+        self.fold_confusions = [np.asarray(conf) for conf in self.fold_confusions]
+        if not self.fold_confusions:
+            raise ValueError("a report needs fold confusions; there are no folds")
+        for n, conf in enumerate(self.fold_confusions):
+            if not conf.sum():
+                raise ValueError(f"fold {n}'s confusion counts no test items")
         self.fold_accuracies, fold_prec, fold_rec = map(list, zip(*map(_fold_metrics, self.fold_confusions)))
         self.confusion = np.sum(self.fold_confusions, axis=0)
         self.accuracy, self.macro_precision, self.macro_recall = _fold_metrics(self.confusion)
@@ -219,8 +240,9 @@ def _classify(queries, references, labels, spec, plan, descriptor_time) -> EvalR
     """
     classes, y = np.unique(np.asarray(labels, dtype=object), return_inverse=True)
     t0 = time.perf_counter()
-    # The union also scores each fold's test items against each other, cells no
-    # fold reads; one call is still cheaper than one per fold at workload scale.
+    # For k-fold both unions are the whole pool, so this is a self-matrix and the
+    # kernel computes its upper triangle alone: n * n / 2 cells, where k per-fold
+    # blocks would take (k - 1) * n * n / k.
     rows = _union([test for _, test in plan.folds], len(queries))
     cols = _union([train for train, _ in plan.folds], len(references))
     matrix = similarity_matrix([queries[i] for i in rows], [references[j] for j in cols], spec)
@@ -246,7 +268,7 @@ def _pool(dataset, jm_values, plan: SplitPlan | None = None) -> tuple[list, list
         if not 1 <= jm <= num_joints:
             raise ValueError(f"jm={jm} is outside [1, {num_joints}]")
     for f, fold in enumerate(() if plan is None else plan.folds):
-        for part, items in zip(("training", "test"), map(np.asarray, fold)):
+        for part, items in zip(("training", "test"), fold):
             outside = items[(items < 0) | (items >= n)]
             if outside.size:
                 raise ValueError(

@@ -9,12 +9,13 @@ Manhattan distances over stacked feature slices serve as baselines.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .descriptor import CodeDescriptor
+from .descriptor import CodeDescriptor, _rank_pairs
 
 __all__ = [
     "Metric",
@@ -118,24 +119,93 @@ def similarity_matrix(queries, references, spec: MetricSpec) -> np.ndarray:
     """Dense score (CSM) or distance (baselines) matrix, queries by references.
 
     Rows are independent. Every cell equals the one-cell call of the same
-    pair, :func:`csm` or :func:`baseline_distance`, bit for bit.
+    pair, :func:`csm` or :func:`baseline_distance`, bit for bit. When the
+    references are the queries' own descriptor objects, only the upper
+    triangle is computed and mirrored, which is exact: every measure here
+    gives ``S(Q, R) == S(R, Q).T`` bit for bit.
     """
     queries = list(queries)
     references = list(references)
     _check_uniform_jm(queries + references)
     if not queries or not references:
         return np.zeros((len(queries), len(references)), dtype=np.float64)
+    self_pair = len(queries) == len(references) and all(map(operator.is_, queries, references))
     if spec.kind is Metric.CSM:
-        return _csm_matrix(queries, references)
-    feats_q = np.stack([_feature_vector(d, spec.features) for d in queries])
-    feats_r = np.stack([_feature_vector(d, spec.features) for d in references])
-    # Each cell sums its features one at a time, in feature order, from 0.0:
-    # the order of scipy's cdist, so the distances equal its bit for bit.
-    total = np.zeros((len(queries), len(references)))
-    for q, r in zip(feats_q.T, feats_r.T):
-        diff = q[:, None] - r[None, :]
-        total += np.abs(diff) if spec.kind is Metric.MANHATTAN else diff * diff
-    return total if spec.kind is Metric.MANHATTAN else np.sqrt(total)
+        count, terms = _csm_terms(queries, references, self_pair)
+    else:
+        count, terms = _baseline_terms(queries, references, spec, self_pair)
+    total = _blocked_sum(count, terms, (len(queries), len(references)), self_pair)
+    return np.sqrt(total) if spec.kind is Metric.EUCLIDEAN else total
+
+
+# Upper bound on the elements of one block's (terms, rows, columns) array:
+# 256 KiB of float64, so a block and its few temporaries stay in cache.
+_BLOCK_ELEMENTS = 1 << 15
+
+
+def _blocked_sum(count: int, terms, shape, self_pair: bool) -> np.ndarray:
+    """Every cell's ``count`` terms summed in term order, one block of cells at a time.
+
+    ``terms(rows, cols)`` returns the C-contiguous (terms, rows, columns)
+    array of a block. A self-pair's blocks start at their first row's
+    diagonal, and each is mirrored below it.
+    """
+    n_q, n_r = shape
+    if count == 0:
+        return np.zeros(shape)
+    cells = max(1, _BLOCK_ELEMENTS // count)
+    total = np.empty(shape)
+    i0 = 0
+    while i0 < n_q:
+        start = i0 if self_pair else 0
+        cols = n_r - start
+        rows = max(1, min(n_q - i0, cells // cols))
+        chunks = -(-cols * rows // cells)  # more than one only for a row wider than a block
+        width = -(-cols // chunks)
+        for j0 in range(start, n_r, width):
+            block = _sum_terms(terms(slice(i0, i0 + rows), slice(j0, j0 + width)))
+            total[i0 : i0 + rows, j0 : j0 + width] = block
+            if self_pair:
+                total[j0 : j0 + width, i0 : i0 + rows] = block.T
+        i0 += rows
+    return total
+
+
+def _sum_terms(terms: np.ndarray) -> np.ndarray:
+    """Each cell's terms added one at a time in term order, as a loop from 0.0 would.
+
+    numpy sums pairwise only along the fast axis in memory: along the
+    leading axis of a C-contiguous array ``np.add.reduce`` adds term by
+    term. A one-cell plane is a contiguous 1-D sum, which it would add
+    pairwise, so that is accumulated instead. An accumulation, and on some
+    numpy versions a reduction, starts from the first term, not from 0.0;
+    the two differ only in a total of -0.0, which adding 0.0 makes 0.0.
+    """
+    terms = np.ascontiguousarray(terms)
+    if terms[0].size == 1:
+        return np.add.accumulate(terms, axis=0)[-1] + 0.0
+    return np.add.reduce(terms, axis=0) + 0.0
+
+
+def _baseline_terms(queries, references, spec: MetricSpec, self_pair: bool):
+    """Per feature, ``|q - r|`` (Manhattan) or ``(q - r)**2`` (Euclidean).
+
+    Summed in feature order from 0.0, the order of scipy's cdist, so the
+    distances equal its bit for bit.
+    """
+    # feature-major, so a block's differences come out C-contiguous
+    feats_q = np.stack([_feature_vector(d, spec.features) for d in queries], axis=1)
+    feats_r = feats_q if self_pair else np.stack(
+        [_feature_vector(d, spec.features) for d in references], axis=1
+    )
+
+    def terms(rows, cols):
+        diff = feats_q[:, rows, None] - feats_r[:, None, cols]
+        if spec.kind is Metric.MANHATTAN:
+            return np.abs(diff, out=diff)
+        return np.multiply(diff, diff, out=diff)
+
+    return feats_q.shape[0], terms
 
 
 def _mij_pairs(descriptors, num_joints: int):
@@ -147,7 +217,7 @@ def _mij_pairs(descriptors, num_joints: int):
     the descriptor's correlation for that pair; and its mass ``g[lo] + g[hi]``
     with ``g = var_norm + vmax_norm + vmin_norm``.
     """
-    p, q = np.triu_indices(descriptors[0].jm, k=1)  # rank positions, in corr's layout
+    p, q = _rank_pairs(descriptors[0].jm)  # rank positions, in corr's layout
     mij = np.stack([d.mij for d in descriptors])
     g = np.stack([d.var_norm + d.vmax_norm + d.vmin_norm for d in descriptors])
     corr = np.stack([d.corr for d in descriptors])
@@ -158,10 +228,17 @@ def _mij_pairs(descriptors, num_joints: int):
     return tuple(np.take_along_axis(x, order, axis=1) for x in (ids, corr, g[:, p] + g[:, q]))
 
 
-def _csm_matrix(queries, references) -> np.ndarray:
+def _csm_terms(queries, references, self_pair: bool):
+    """Per query MIJ pair, in pair-id order: ``mask * w * (q_mass + mass)``.
+
+    ``w = 1 - 0.5 * |q_corr - corr|``; ``mask``, ``corr`` and ``mass`` are
+    the reference's, zero where it lacks the pair. The non-zero terms of a
+    cell are then the shared pairs in the same order from either side, so
+    ``S(Q, R) == S(R, Q).T`` bit for bit.
+    """
     num_joints = 1 + max(int(d.mij.max()) for d in queries + references)
-    q_ids, q_corr, q_mass = _mij_pairs(queries, num_joints)
-    r_ids, r_corr, r_mass = _mij_pairs(references, num_joints)
+    q_pairs = _mij_pairs(queries, num_joints)
+    r_ids, r_corr, r_mass = q_pairs if self_pair else _mij_pairs(references, num_joints)
     # Reference tables indexed by pair id, zero where a reference lacks the pair.
     mask = np.zeros((num_joints * (num_joints - 1) // 2, len(references)))
     corr = np.zeros_like(mask)
@@ -170,13 +247,21 @@ def _csm_matrix(queries, references) -> np.ndarray:
     mask[r_ids, cols] = 1.0
     corr[r_ids, cols] = r_corr
     mass[r_ids, cols] = r_mass
-    # Every cell adds its query's pairs one at a time in pair-id order. The
-    # non-zero terms are then the shared pairs in the same order from either
-    # side, so S(Q, R) == S(R, Q).T bit for bit. A numpy reduction over the
-    # pair axis would not keep that order: it sums a single column pairwise.
-    scores = np.zeros((len(queries), len(references)))
-    for k in range(q_ids.shape[1]):
-        s = q_ids[:, k]
-        weight = 1.0 - 0.5 * np.abs(q_corr[:, k, None] - corr[s])
-        scores += mask[s] * weight * (q_mass[:, k, None] + mass[s])
-    return scores
+    # pair-major, so a block's gathers come out C-contiguous
+    q_ids, q_corr, q_mass = (np.ascontiguousarray(x.T) for x in q_pairs)
+
+    def terms(rows, cols):
+        ids = q_ids[:, rows]
+        weight = corr[ids, cols]
+        np.subtract(q_corr[:, rows, None], weight, out=weight)
+        np.abs(weight, out=weight)
+        weight *= 0.5
+        np.subtract(1.0, weight, out=weight)
+        shared = mask[ids, cols]
+        shared *= weight
+        pair_mass = mass[ids, cols]
+        pair_mass += q_mass[:, rows, None]
+        shared *= pair_mass
+        return shared
+
+    return q_ids.shape[0], terms

@@ -245,6 +245,15 @@ class TestEvalReport:
             "timing": {"descriptor_s": 1.5, "classify_s": 0.25},
         }
 
+    def test_no_folds_rejected(self):
+        with pytest.raises(ValueError, match="no folds"):
+            EvalReport(["a", "b"], [], 0.0, 0.0)
+
+    def test_fold_that_counts_nothing_is_named(self):
+        folds = [np.array([[1, 0], [0, 1]]), np.zeros((2, 2), dtype=np.int64)]
+        with pytest.raises(ValueError, match="fold 1's confusion counts no test items"):
+            EvalReport(["a", "b"], folds, 0.0, 0.0)
+
     def test_rebuilt_from_its_inputs_equals_the_evaluated_report(self, rng):
         actions = [random_action(rng, joints=6, frames=20, class_label=f"c{i % 3}") for i in range(18)]
         plan = SplitPlan.stratified_kfold([a.class_label for a in actions], k=3, seed=2)
@@ -274,7 +283,14 @@ class TestKnn1:
         (((np.array([0, 1, -1]), np.arange(3, 6)),),
          r"fold 0 of the 'hand' plan has training index -1 outside \[0, 6\)"),
         (((np.arange(3.0), np.arange(3.0, 6.0)),), r"fold 0 of the 'hand' plan has non-integer training indices"),
-    ], ids=["no-folds", "test-index-n-plus-1", "negative-training-index", "float-indices"])
+        (((np.array([[0, 1], [2, 3]]), np.array([4, 5])),),
+         r"fold 0 of the 'hand' plan has a 2-D training set, not a list of indices"),
+        (((np.arange(4), np.arange(4, 6)), (np.array([0, 1, 2]), np.array([2, 3]))),
+         r"fold 1 of the 'hand' plan has index 2 in both its training and test sets"),
+        (((np.array([0, 0, 1]), np.arange(2, 6)),), r"fold 0 of the 'hand' plan repeats training index 0"),
+        (((np.arange(3), np.array([5, 3, 5])),), r"fold 0 of the 'hand' plan repeats test index 5"),
+    ], ids=["no-folds", "test-index-n-plus-1", "negative-training-index", "float-indices", "2-d-indices",
+            "training-and-test-overlap", "repeated-training-index", "repeated-test-index"])
     def test_bad_plan_is_named_before_any_descriptor(self, rng, monkeypatch, folds, message):
         def never(action, jm):
             raise AssertionError("a descriptor was computed")
@@ -283,6 +299,15 @@ class TestKnn1:
         actions = [random_action(rng, joints=6, frames=20, class_label=f"c{i % 2}") for i in range(6)]
         with pytest.raises(ValueError, match=message):
             evaluate(actions, jm=3, spec=CSM, plan=SplitPlan("hand", folds))
+
+    def test_list_folds_give_the_array_plan_report(self, rng):
+        actions = [random_action(rng, joints=6, frames=20, class_label=f"c{i % 2}") for i in range(6)]
+        folds = (([0, 1, 2, 3], [4, 5]), ([2, 3, 4, 5], [0, 1]))
+        plan = SplitPlan("hand", folds)
+        assert all(isinstance(items, np.ndarray) for fold in plan.folds for items in fold)
+        arrays = SplitPlan("hand", tuple((np.array(tr), np.array(te)) for tr, te in folds))
+        report = evaluate(actions, jm=3, spec=CSM, plan=plan)
+        assert report.to_dict()["folds"] == evaluate(actions, jm=3, spec=CSM, plan=arrays).to_dict()["folds"]
 
     def test_tie_goes_to_lowest_index(self, rng):
         # three copies of one action: every training item scores the same

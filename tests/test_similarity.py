@@ -11,6 +11,7 @@ from codemotion import (
     csm,
     similarity_matrix,
 )
+from codemotion import similarity
 from oracles import csm_score, euclidean_distance, manhattan_distance
 
 from conftest import random_action
@@ -220,3 +221,112 @@ class TestSimilarityMatrix:
         b = random_descriptors(rng, 1, jm=4)[0]
         with pytest.raises(ValueError, match="jm"):
             similarity_matrix([a], [b], MetricSpec(Metric.CSM))
+
+
+def loop_csm(a, b):
+    """CSM as a plain Python-float loop over the shared MIJ pairs in pair-id order, from 0.0."""
+    def pairs(d):
+        g = d.var_norm + d.vmax_norm + d.vmin_norm
+        return {
+            tuple(sorted((int(d.mij[p]), int(d.mij[q])))): (float(d.corr[k]), float(g[p] + g[q]))
+            for k, (p, q) in enumerate(zip(*np.triu_indices(d.jm, k=1)))
+        }
+
+    pa, pb = pairs(a), pairs(b)
+    total = 0.0
+    for pair in sorted(pa.keys() & pb.keys()):  # (lo, hi) order is pair-id order
+        (ca, ma), (cb, mb) = pa[pair], pb[pair]
+        total += (1.0 - 0.5 * abs(ca - cb)) * (ma + mb)
+    return total
+
+
+def loop_baseline(a, b, spec):
+    """L1 or L2 as a plain Python-float loop over the features in order, from 0.0."""
+    names = ("var_norm", "vmax_norm", "vmin_norm", "corr")
+    count = {FeatureSet.VARIANCE: 1, FeatureSet.VARIANCE_VELOCITY: 3, FeatureSet.FULL: 4}[spec.features]
+    total = 0.0
+    for name in names[:count]:
+        for x, y in zip(getattr(a, name).tolist(), getattr(b, name).tolist()):
+            total += abs(x - y) if spec.kind is Metric.MANHATTAN else (x - y) * (x - y)
+    return total if spec.kind is Metric.MANHATTAN else float(np.sqrt(total))
+
+
+def loop_matrix(queries, references, spec):
+    cell = loop_csm if spec.kind is Metric.CSM else (lambda a, b: loop_baseline(a, b, spec))
+    return np.array([[cell(q, r) for r in references] for q in queries]).reshape(len(queries), len(references))
+
+
+def copies(descriptors):
+    """Equal descriptors that are distinct objects, so a matrix of them takes the cross path."""
+    return [CodeDescriptor(d.mij, d.var_norm, d.vmax_norm, d.vmin_norm, d.corr, d.jm) for d in descriptors]
+
+
+ALL_SPECS = [MetricSpec(Metric.CSM)] + [
+    MetricSpec(kind, features) for kind in (Metric.EUCLIDEAN, Metric.MANHATTAN) for features in FeatureSet
+]
+SPEC_IDS = [f"{s.kind.value}-{s.features.value}" for s in ALL_SPECS]
+
+
+class TestBlockedKernel:
+    """One kernel: blocks of cells, each summed term by term; a self-matrix as its upper triangle."""
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=SPEC_IDS)
+    def test_cells_equal_a_plain_loop_in_term_order(self, rng, spec):
+        # jm = 12 over 14 joints: 66 terms a cell and most pairs shared, so a
+        # pairwise or reordered sum would change last bits
+        descs = random_descriptors(rng, 9, jm=12, joints=14)
+        assert_same_bits(similarity_matrix(descs, descs, spec), loop_matrix(descs, descs, spec))
+        assert_same_bits(similarity_matrix(descs[:4], descs[4:], spec), loop_matrix(descs[:4], descs[4:], spec))
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=SPEC_IDS)
+    def test_self_and_cross_paths_and_block_sizes_agree(self, rng, spec, monkeypatch):
+        pool = random_descriptors(rng, 65, jm=6, joints=9)
+        count = 15 if spec.kind is Metric.CSM else {"var": 6, "var-vel": 18, "full": 33}[spec.features.value]
+        for n in (1, 2, 31, 32, 33, 65):
+            descs = pool[:n]
+            monkeypatch.setattr(similarity, "_BLOCK_ELEMENTS", 1 << 40)
+            whole = similarity_matrix(descs, descs, spec)
+            assert_same_bits(similarity_matrix(descs, copies(descs), spec), whole)
+            # one cell, seven cells, and 40 cells a block: one-cell planes,
+            # uneven column chunks, and blocks of several rows
+            for cells in (1, 7, 40):
+                monkeypatch.setattr(similarity, "_BLOCK_ELEMENTS", cells * count)
+                assert_same_bits(similarity_matrix(descs, descs, spec), whole)
+                assert_same_bits(similarity_matrix(descs, copies(descs), spec), whole)
+
+    def test_self_matrix_sums_only_its_upper_triangle(self, rng, monkeypatch):
+        descs = random_descriptors(rng, 33, jm=4, joints=8)
+        summed = []
+        real = similarity._sum_terms
+
+        def counting(terms):
+            summed.append(terms[0].size)
+            return real(terms)
+
+        monkeypatch.setattr(similarity, "_sum_terms", counting)
+        monkeypatch.setattr(similarity, "_BLOCK_ELEMENTS", 6)  # one cell a block at jm = 4
+        matrix = similarity_matrix(descs, descs, MetricSpec(Metric.CSM))
+        assert sum(summed) == 33 * 34 // 2
+        assert_same_bits(matrix, matrix.T)
+        summed.clear()
+        similarity_matrix(descs, copies(descs), MetricSpec(Metric.CSM))
+        assert sum(summed) == 33 * 33
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=SPEC_IDS)
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (2, 1), (1, 2)])
+    def test_one_row_and_one_column_shapes(self, rng, spec, shape):
+        descs = random_descriptors(rng, sum(shape), jm=12, joints=14)
+        queries, references = descs[: shape[0]], descs[shape[0] :]
+        matrix = similarity_matrix(queries, references, spec)
+        assert_same_bits(matrix, loop_matrix(queries, references, spec))
+        assert_same_bits(similarity_matrix(references, queries, spec), matrix.T)
+
+    def test_all_zero_terms_sum_to_positive_zero(self):
+        # one shared pair whose weight is 0 (correlations 1 and -1) and whose
+        # mass is negative: its only term is 0 * negative = -0.0, where a loop
+        # from 0.0 gives 0.0
+        a = make_descriptor([0, 1], [0.1, 0.1], [0.1, 0.1], [-0.5, -0.5], [1.0])
+        b = make_descriptor([1, 0], [0.1, 0.1], [0.1, 0.1], [-0.5, -0.5], [-1.0])
+        matrix = similarity_matrix([a], [b, b], MetricSpec(Metric.CSM))
+        assert_same_bits(matrix, np.zeros((1, 2)))
+        assert_same_bits(np.array([csm(a, b)]), np.zeros(1))
