@@ -8,7 +8,6 @@ from .descriptor import (
     compute_descriptor,
     extreme_velocities,
     joint_variances,
-    joint_velocities,
     pairwise_correlation,
     rank_mij,
     stack_descriptor,

@@ -140,9 +140,9 @@ def cmd_describe(args) -> int:
                 f"action ids {owners[name]!r} and {action.action_id!r} both map to output file {name}"
             )
         owners[name] = action.action_id
+    descriptors, elapsed = _describe(actions, args.jm)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    descriptors, elapsed = _describe(actions, args.jm)
     for action, desc, name in zip(actions, descriptors, names):
         payload = {
             "action_id": action.action_id,

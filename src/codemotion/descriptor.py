@@ -21,7 +21,6 @@ __all__ = [
     "FLAT_VARIANCE_FLOOR",
     "joint_variances",
     "rank_mij",
-    "joint_velocities",
     "extreme_velocities",
     "pairwise_correlation",
     "compute_descriptor",
@@ -68,8 +67,8 @@ class ActionMatrix:
             raise ValueError("need at least one joint column")
         if not np.isfinite(samples).all():
             raise ValueError("samples contain NaN or infinite values")
-        if not self.frame_rate > 0:
-            raise ValueError(f"frame_rate must be positive, got {self.frame_rate!r}")
+        if not 0 < self.frame_rate < np.inf:
+            raise ValueError(f"frame_rate must be positive and finite, got {self.frame_rate!r}")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "frame_rate", float(self.frame_rate))
@@ -185,15 +184,6 @@ def rank_mij(variances, jm: int) -> tuple[np.ndarray, np.ndarray]:
     return mij, top / top.sum()
 
 
-def joint_velocities(action: ActionMatrix) -> np.ndarray:
-    """Angular velocities in deg/s, same shape as the action samples.
-
-    Central finite differences on interior frames, one-sided differences
-    at both endpoints, scaled by the frame rate.
-    """
-    return np.gradient(action.samples, axis=0) * action.frame_rate
-
-
 def extreme_velocities(velocities) -> tuple[np.ndarray, np.ndarray]:
     """Per-joint max and min velocity over time, each normalized by its own magnitude sum.
 
@@ -260,7 +250,9 @@ def compute_descriptor(action: ActionMatrix, jm: int) -> CodeDescriptor:
         mij, var_norm = rank_mij(joint_variances(action), jm)
     except DegenerateActionError as exc:
         raise DegenerateActionError(f"action {action.action_id!r}: {exc}") from None
-    # np.gradient differentiates each column on its own, so the MIJ columns alone suffice
+    # Angular velocities in deg/s: central differences inside, one-sided at both
+    # ends. np.gradient differentiates each column on its own, so the MIJ
+    # columns alone suffice.
     velocities = np.gradient(action.samples[:, mij], axis=0) * action.frame_rate
     vmax_norm, vmin_norm = extreme_velocities(velocities)
     corr = pairwise_correlation(action, mij)

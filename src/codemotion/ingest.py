@@ -67,10 +67,10 @@ class DatasetManifest:
             if entry.action_id in seen:
                 raise DatasetError(f"manifest entry {n}: duplicate action_id {entry.action_id!r}")
             seen.add(entry.action_id)
-            if not entry.frame_rate > 0:
+            if not 0 < entry.frame_rate < math.inf:
                 raise DatasetError(
-                    f"manifest entry {n} ({entry.action_id!r}): frame_rate must be positive, "
-                    f"got {entry.frame_rate!r}"
+                    f"manifest entry {n} ({entry.action_id!r}): frame_rate must be positive "
+                    f"and finite, got {entry.frame_rate!r}"
                 )
             if entry.angle_unit not in ANGLE_UNITS:
                 raise DatasetError(
@@ -113,7 +113,10 @@ def load_manifest(path) -> DatasetManifest:
             raise DatasetError(f"{path}: entry {n} is missing required key {exc}") from None
         except (TypeError, ValueError) as exc:
             raise DatasetError(f"{path}: entry {n} is malformed ({exc})") from None
-    return DatasetManifest(str(payload.get("dataset_name", path.stem)), tuple(entries))
+    try:
+        return DatasetManifest(str(payload.get("dataset_name", path.stem)), tuple(entries))
+    except DatasetError as exc:
+        raise DatasetError(f"{path}: {exc}") from None
 
 
 def _read_csv_matrix(path: Path) -> np.ndarray:
@@ -272,15 +275,9 @@ def load_dataset(manifest_path) -> list[ActionMatrix]:
                     f"{manifest.dataset_name!r} has {joints}"
                 )
             try:
-                actions.append(
-                    ActionMatrix(
-                        samples,
-                        frame_rate=entry.frame_rate,
-                        class_label=entry.class_label,
-                        subject_id=entry.subject_id,
-                        action_id=entry.action_id,
-                    )
-                )
+                actions.append(ActionMatrix(
+                    samples, entry.frame_rate, entry.class_label, entry.subject_id, entry.action_id
+                ))
             except ValueError as exc:
                 raise DatasetError(f"{file_path}: {exc}") from None
     return actions
@@ -427,8 +424,8 @@ class SyntheticConfig:
             raise ValueError(f"need at least 4 joints, got {self.joints}")
         if self.frames < 2:
             raise ValueError("need at least 2 frames")
-        if not self.frame_rate > 0:
-            raise ValueError("frame_rate must be positive")
+        if not 0 < self.frame_rate < math.inf:
+            raise ValueError(f"frame_rate must be positive and finite, got {self.frame_rate!r}")
         if self.active_per_class is not None and self.active_per_class < 2:
             raise ValueError("active_per_class must be at least 2")
         n_active = self.num_active
@@ -455,7 +452,7 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[list[ActionMatrix], Dat
     n_active = config.num_active
     t = np.arange(config.frames) / config.frame_rate
 
-    class_templates = []
+    templates = []  # per class: (active joints, their signed gains, frequency, offsets)
     for c in range(config.classes):
         if config.disjoint_classes:
             active = np.arange(c * n_active, (c + 1) * n_active)
@@ -463,79 +460,50 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[list[ActionMatrix], Dat
             active = np.sort(rng.choice(config.joints, size=n_active, replace=False))
         signs = rng.choice(np.array([-1.0, 1.0]), size=n_active)
         signs[:2] = 1.0  # guarantee at least one in-phase active pair
-        class_templates.append(
-            {
-                "active": active,
-                "signs": signs,
-                "freq": rng.uniform(0.4, 1.6),
-                "amps": config.amplitude_deg * rng.uniform(0.7, 1.3, size=n_active),
-                "offsets": rng.uniform(-45.0, 45.0, size=config.joints),
-            }
-        )
-
-    subject_mods = {}
-    for c in range(config.classes):
-        for s in range(config.subjects):
-            subject_mods[(c, s)] = {
-                "amp": rng.uniform(0.85, 1.15, size=n_active),
-                "phase": rng.normal(0.0, 0.3),
-            }
+        freq = rng.uniform(0.4, 1.6)
+        gains = signs * (config.amplitude_deg * rng.uniform(0.7, 1.3, size=n_active))
+        templates.append((active, gains, freq, rng.uniform(-45.0, 45.0, size=config.joints)))
+    # per class and subject: (amplitude per active joint, phase)
+    mods = [
+        [(rng.uniform(0.85, 1.15, size=n_active), rng.normal(0.0, 0.3)) for _ in range(config.subjects)]
+        for _ in range(config.classes)
+    ]
 
     actions = []
-    entries = []
-    for c in range(config.classes):
-        template = class_templates[c]
-        for s in range(config.subjects):
-            mod = subject_mods[(c, s)]
+    for c, (active, gains, freq, offsets) in enumerate(templates):
+        for s, (amp, phase) in enumerate(mods[c]):
             for r in range(config.per_class):
                 rep_phase = rng.uniform(0.0, 2.0 * np.pi)
                 rep_amp = rng.normal(1.0, 0.03)
-                samples = template["offsets"][None, :] + config.noise_deg * rng.standard_normal(
-                    (config.frames, config.joints)
-                )
-                phase = rep_phase + mod["phase"]
-                wave = np.sin(2.0 * np.pi * template["freq"] * t + phase)
-                for k, joint in enumerate(template["active"]):
-                    samples[:, joint] += (
-                        template["signs"][k] * template["amps"][k] * mod["amp"][k] * rep_amp * wave
-                    )
-                action_id = f"c{c:02d}_s{s:02d}_r{r:02d}"
-                actions.append(
-                    ActionMatrix(
-                        samples,
-                        frame_rate=config.frame_rate,
-                        class_label=f"class{c:02d}",
-                        subject_id=f"subject{s:02d}",
-                        action_id=action_id,
-                    )
-                )
-                entries.append(
-                    ManifestEntry(
-                        path=f"{action_id}.csv",
-                        class_label=f"class{c:02d}",
-                        subject_id=f"subject{s:02d}",
-                        action_id=action_id,
-                        frame_rate=config.frame_rate,
-                        angle_unit="deg",
-                    )
-                )
-    name = (
-        f"synthetic-{config.classes}x{config.per_class}x{config.subjects}-seed{config.seed}"
-    )
-    return actions, DatasetManifest(name, tuple(entries))
+                noise = config.noise_deg * rng.standard_normal((config.frames, config.joints))
+                samples = offsets + noise
+                wave = np.sin(2.0 * np.pi * freq * t + (rep_phase + phase))
+                samples[:, active] += gains * amp * rep_amp * wave[:, None]
+                actions.append(ActionMatrix(
+                    samples, config.frame_rate, f"class{c:02d}", f"subject{s:02d}",
+                    f"c{c:02d}_s{s:02d}_r{r:02d}",
+                ))
+    name = f"synthetic-{config.classes}x{config.per_class}x{config.subjects}-seed{config.seed}"
+    return actions, DatasetManifest(name, tuple(_entry(a, f"{a.action_id}.csv") for a in actions))
+
+
+def _entry(action: ActionMatrix, path: str) -> ManifestEntry:
+    """The entry that reloads ``action`` from ``path``: the action's rate, class and subject, in degrees."""
+    return ManifestEntry(path, action.class_label, action.subject_id, action.action_id, action.frame_rate)
 
 
 def save_dataset(actions, manifest: DatasetManifest, out_dir) -> Path:
     """Write one CSV per action plus the manifest; returns the manifest path.
 
-    Values are written with full repr precision, so a reload yields
-    value-identical matrices. Before any file is written, every manifest
-    entry must have an action, no two actions may share an action id, and
-    no two entries (nor an entry and ``manifest.json``) may resolve to the
-    same file; a ``DatasetError`` names the ids or the path. The CSVs are
-    written in forked workers like ``load_dataset`` parses them, with the
-    same bytes either way; the error raised is that of the first failing
-    entry in manifest order.
+    ``manifest`` gives the dataset name, the order and the paths; each entry
+    written takes its rate, class and subject from its action, in degrees.
+    Values keep full repr precision, so a reload yields value-identical
+    matrices. Before any file is written, a ``DatasetError`` names the ids,
+    the field or the path of an entry with no action or one that disagrees
+    with it, of actions that share an id, and of entries (or an entry and
+    ``manifest.json``) that resolve to the same file. Forked workers write
+    the CSVs, with the same bytes as one process; the error raised is that
+    of the first failing entry in manifest order.
     """
     out_dir = Path(out_dir)
     by_id: dict[str, ActionMatrix] = {}
@@ -549,18 +517,25 @@ def save_dataset(actions, manifest: DatasetManifest, out_dir) -> Path:
     if missing:
         raise DatasetError(f"manifest entries have no matching action: {', '.join(map(repr, missing))}")
     manifest_path = out_dir / "manifest.json"
-    paths = [out_dir / entry.path for entry in manifest.entries]
+    entries = [_entry(by_id[entry.action_id], entry.path) for entry in manifest.entries]
     seen = {manifest_path.resolve(): "the manifest"}
-    for entry, path in zip(manifest.entries, paths):
+    for given, entry in zip(manifest.entries, entries):
+        for field in ("frame_rate", "class_label", "subject_id"):
+            if getattr(given, field) != getattr(entry, field):
+                raise DatasetError(
+                    f"action {entry.action_id!r}: the manifest's {field} {getattr(given, field)!r} "
+                    f"differs from the action's {getattr(entry, field)!r}"
+                )
+        path = out_dir / entry.path
         key = path.resolve()
         if key in seen:
             raise DatasetError(f"{path}: action {entry.action_id!r} and {seen[key]} resolve to the same file")
         seen[key] = f"action {entry.action_id!r}"
     out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [(path, by_id[entry.action_id].samples) for entry, path in zip(manifest.entries, paths)]
+    tasks = [(out_dir / entry.path, by_id[entry.action_id].samples) for entry in entries]
     with _forked(_write, tasks) as errors:
         for error in errors:
             if error is not None:
                 raise error
-    manifest.to_json(manifest_path)
+    DatasetManifest(manifest.dataset_name, tuple(entries)).to_json(manifest_path)
     return manifest_path

@@ -158,6 +158,15 @@ class TestDescribe:
         assert "error: jm=11 is outside [1, 10]" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_degenerate_action_fails_before_writing(self, synth_dir, tmp_path, capsys):
+        manifest = copy_dataset(synth_dir, tmp_path / "data", lambda entries: None)
+        entry = json.loads(manifest.read_text())["entries"][5]
+        (manifest.parent / entry["path"]).write_text("1.0,2.0,3.0,4.0,5.0,6.0,7.0,8.0,9.0,10.0\n" * 90)
+        out = tmp_path / "desc"
+        assert run("describe", "--manifest", manifest, "--jm", 3, "--no-filter", "--out", out) == 1
+        assert f"error: action {entry['action_id']!r}: degenerate action" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rerun_is_byte_identical_per_descriptor(self, synth_dir, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         for out in (out1, out2):
@@ -508,6 +517,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Nyquist frequency 10.0 Hz of a 20.0 Hz recording" in err
         assert f"(action {action_id!r})" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["crossval", "--folds", 4, "--seed", 3],
+        ["describe", "--no-filter"],
+    ], ids=["crossval", "describe-no-filter"])
+    def test_infinite_frame_rate_is_named_before_any_csv_is_parsed(self, synth_dir, tmp_path, capsys, argv):
+        def infinite_sixth(entries):
+            entries[5]["frame_rate"] = float("inf")
+
+        manifest = copy_dataset(synth_dir, tmp_path / "data", infinite_sixth)
+        entries = json.loads(manifest.read_text())["entries"]
+        # a file the parser rejects, listed first: its error would win once parsing began
+        (manifest.parent / entries[0]["path"]).write_text("1,x\n")
+        out = tmp_path / "out"
+        assert run(*argv, "--manifest", manifest, "--jm", 3, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {manifest}: manifest entry 5 ({entries[5]['action_id']!r}): "
+            "frame_rate must be positive and finite, got inf\n"
+        )
+        assert not out.exists()
 
     def test_non_utf8_csv_is_named(self, synth_dir, tmp_path, capsys):
         manifest = copy_dataset(synth_dir, tmp_path / "data", lambda entries: None)

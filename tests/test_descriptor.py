@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,14 +10,13 @@ from codemotion import (
     compute_descriptor,
     extreme_velocities,
     joint_variances,
-    joint_velocities,
     pairwise_correlation,
     rank_mij,
     stack_descriptor,
     stacked_length,
     unstack_descriptor,
 )
-from oracles import pearson, population_variance
+from oracles import finite_difference_velocity, pearson, population_variance
 
 from conftest import random_action
 
@@ -38,6 +39,11 @@ class TestActionMatrix:
     def test_rejects_bad_frame_rate(self):
         with pytest.raises(ValueError, match="frame_rate"):
             ActionMatrix(np.zeros((4, 2)), frame_rate=0.0)
+
+    @pytest.mark.parametrize("rate", [np.inf, np.nan])
+    def test_rejects_non_finite_frame_rate(self, rate):
+        with pytest.raises(ValueError, match=f"frame_rate must be positive and finite, got {rate!r}"):
+            ActionMatrix(np.zeros((4, 2)), frame_rate=rate)
 
     def test_samples_are_immutable(self):
         action = ActionMatrix(np.zeros((4, 2)), frame_rate=30.0)
@@ -116,28 +122,48 @@ class TestRankMij:
                 assert a < b
 
 
+def oracle_extremes(action, mij):
+    """vmax_norm and vmin_norm from the loop oracle's velocities of the ``mij`` columns."""
+    velocities = [finite_difference_velocity(list(action.samples[:, j]), action.frame_rate) for j in mij]
+    extremes = []
+    for pick in (max, min):
+        values = [pick(v) for v in velocities]
+        total = sum(abs(x) for x in values)
+        extremes.append([x / total if total else x for x in values])
+    return extremes
+
+
 class TestJointVelocities:
+    """The descriptor's velocities: central differences inside, one-sided at the ends, times the rate."""
+
     def test_linear_ramp(self):
-        action = action_from_columns([0.0, 1.0, 2.0, 3.0], frame_rate=1.0)
-        np.testing.assert_allclose(joint_velocities(action)[:, 0], [1, 1, 1, 1])
+        # velocities 1 and 2 at every frame, ends included
+        d = compute_descriptor(action_from_columns([0.0, 1.0, 2.0, 3.0], [0.0, 2.0, 4.0, 6.0]), jm=2)
+        np.testing.assert_array_equal(d.mij, [1, 0])
+        np.testing.assert_allclose(d.vmax_norm, [2 / 3, 1 / 3], rtol=1e-15)
+        np.testing.assert_allclose(d.vmin_norm, [2 / 3, 1 / 3], rtol=1e-15)
 
     def test_constant_column_is_zero(self):
-        action = action_from_columns([4.0, 4.0, 4.0])
-        np.testing.assert_array_equal(joint_velocities(action)[:, 0], [0, 0, 0])
+        d = compute_descriptor(action_from_columns([0.0, 1.0, 2.0], [4.0, 4.0, 4.0]), jm=2)
+        np.testing.assert_array_equal(d.vmax_norm, [1.0, 0.0])
+        np.testing.assert_array_equal(d.vmin_norm, [1.0, 0.0])
 
     def test_stencil_by_hand(self):
-        # interior: (x[t+1] - x[t-1]) / 2 * fs; ends one-sided
-        action = action_from_columns([0.0, 1.0, 0.0], frame_rate=2.0)
-        np.testing.assert_allclose(joint_velocities(action)[:, 0], [2.0, 0.0, -2.0])
+        # [0, 1, 0] at 2 Hz: interior (x[t+1] - x[t-1]) / 2 * fs, ends one-sided: [2, 0, -2];
+        # the ramp [0, 1, 2] moves at 2 deg/s throughout and ranks first
+        d = compute_descriptor(action_from_columns([0.0, 1.0, 0.0], [0.0, 1.0, 2.0], frame_rate=2.0), jm=2)
+        np.testing.assert_array_equal(d.mij, [1, 0])
+        np.testing.assert_array_equal(d.vmax_norm, [0.5, 0.5])
+        np.testing.assert_array_equal(d.vmin_norm, [0.5, -0.5])
 
     def test_matches_loop_oracle(self, rng):
-        from oracles import finite_difference_velocity
-
-        action = random_action(rng, joints=3, frames=17, frame_rate=60.0)
-        vel = joint_velocities(action)
-        for j in range(3):
-            expected = finite_difference_velocity(list(action.samples[:, j]), 60.0)
-            np.testing.assert_allclose(vel[:, j], expected, rtol=1e-12)
+        for frame_rate, frames in itertools.product([30.0, 120.0, 240.0], range(2, 41)):
+            joints = int(rng.integers(1, 9))
+            action = random_action(rng, joints=joints, frames=frames, frame_rate=frame_rate)
+            d = compute_descriptor(action, int(rng.integers(1, joints + 1)))
+            vmax, vmin = oracle_extremes(action, d.mij.tolist())
+            np.testing.assert_allclose(d.vmax_norm, vmax, rtol=1e-12)
+            np.testing.assert_allclose(d.vmin_norm, vmin, rtol=1e-12)
 
 
 class TestExtremeVelocities:

@@ -1,4 +1,5 @@
 import codecs
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -171,6 +172,16 @@ class TestLoadDataset:
     def test_bad_frame_rate_rejected(self, tmp_path):
         manifest = write_dataset(tmp_path, [("a.csv", "1,2\n3,4\n", {"frame_rate": 0})])
         with pytest.raises(DatasetError, match="frame_rate"):
+            load_manifest(manifest)
+
+    def test_infinite_frame_rate_names_manifest_entry_and_action(self, tmp_path):
+        manifest = write_dataset(tmp_path, [
+            ("a.csv", "1,2\n3,4\n", {}),
+            ("b.csv", "1,2\n3,4\n", {"action_id": "fast", "frame_rate": math.inf}),
+        ])
+        assert "Infinity" in manifest.read_text()
+        expected = f"{manifest}: manifest entry 1 ('fast'): frame_rate must be positive and finite, got inf"
+        with pytest.raises(DatasetError, match=f"^{re.escape(expected)}$"):
             load_manifest(manifest)
 
     def test_missing_manifest_key_reported(self, tmp_path):
@@ -567,6 +578,11 @@ class TestGenerateSynthetic:
             SyntheticConfig(classes=5, per_class=1, subjects=1, joints=8,
                             active_per_class=2, disjoint_classes=True)
 
+    @pytest.mark.parametrize("rate", [math.inf, math.nan, 0.0])
+    def test_frame_rate_validated(self, rate):
+        with pytest.raises(ValueError, match="frame_rate must be positive and finite"):
+            SyntheticConfig(classes=1, per_class=1, subjects=1, frame_rate=rate)
+
     def test_counts_validated(self):
         with pytest.raises(ValueError):
             SyntheticConfig(classes=0, per_class=1, subjects=1)
@@ -590,9 +606,9 @@ class TestRoundTrip:
 
 
 def manifest_for(entries):
-    """A manifest of (action_id, path) pairs."""
+    """A manifest of (action_id, path) pairs, for actions at 30 Hz with no class or subject."""
     return ingest.DatasetManifest("saved", tuple(
-        ingest.ManifestEntry(path, "c", "s", action_id, 30.0) for action_id, path in entries
+        ingest.ManifestEntry(path, "", "", action_id, 30.0) for action_id, path in entries
     ))
 
 
@@ -617,7 +633,9 @@ class TestSaveDataset:
         actions += [random_action(rng, joints=j, frames=f, action_id=f"odd{j}")
                     for j, f in [(1, 2), (3, 7), (5, 30), (7, 11), (9, 4), (31, 3)]]
         # the writer formats any 2-D samples; an ActionMatrix needs 2 frames
-        actions.append(SimpleNamespace(action_id="one-row", samples=special[None, :, 0]))
+        actions.append(SimpleNamespace(
+            action_id="one-row", samples=special[None, :, 0], class_label="", subject_id="", frame_rate=30.0,
+        ))
         return actions
 
     @pytest.mark.skipif(
@@ -682,4 +700,34 @@ class TestSaveDataset:
         expected = message.format(out=out)
         with pytest.raises(DatasetError, match=f"^{re.escape(expected)}$"):
             save_dataset(actions, manifest_for(entries), out)
+        assert not out.exists()
+
+    def test_radian_manifest_round_trip_is_byte_equal(self, tmp_path, cpus, rng):
+        # loaded actions hold degrees, so the saved entries say "deg", not the source's "rad"
+        samples = rng.uniform(-3.0, 3.0, size=(5, 3))
+        text = "".join(",".join(map(repr, row)) + "\n" for row in samples.tolist())
+        source = write_dataset(tmp_path, [("r.csv", text, {"angle_unit": "rad", "frame_rate": 120.0})])
+        first = load_dataset(source)
+        saved = save_dataset(first, load_manifest(source), tmp_path / "saved")
+        second = load_dataset(saved)
+        assert [e.angle_unit for e in load_manifest(saved).entries] == ["deg"]
+        assert second[0].samples.tobytes() == first[0].samples.tobytes()
+        assert second[0].frame_rate == first[0].frame_rate == 120.0
+
+    @pytest.mark.parametrize("field, value, shown", [
+        ("frame_rate", 120.0, "120.0"),
+        ("class_label", "clap", "'clap'"),
+        ("subject_id", "s07", "'s07'"),
+    ], ids=["frame_rate", "class_label", "subject_id"])
+    def test_entry_that_disagrees_with_its_action_fails_before_any_file_is_written(
+        self, tmp_path, cpus, rng, field, value, shown
+    ):
+        actions = [random_action(rng, joints=3, frames=5, action_id=f"a{i}") for i in range(4)]
+        manifest = manifest_for([(a.action_id, f"{a.action_id}.csv") for a in actions])
+        entries = list(manifest.entries)
+        entries[2] = dataclasses.replace(entries[2], **{field: value})
+        out = tmp_path / "out"
+        expected = f"action 'a2': the manifest's {field} {shown} differs from the action's "
+        with pytest.raises(DatasetError, match=f"^{re.escape(expected)}"):
+            save_dataset(actions, ingest.DatasetManifest("saved", entries), out)
         assert not out.exists()
