@@ -302,6 +302,14 @@ class FilterSpec:
         object.__setattr__(self, "order", int(order))
 
 
+# Buffer elements, rows by columns of float64, that the filter fills, filters
+# and copies out at a time: 8 MiB. Rows and columns both count, since a
+# column bound alone would let 600-frame actions fill 80 MB at 16K columns.
+# A chunk holds whole actions, so an action larger than this is a chunk by
+# itself.
+_FILTER_ELEMENTS = 1 << 20
+
+
 def butterworth_filter(actions, spec: FilterSpec = FilterSpec()) -> list[ActionMatrix]:
     """Zero-phase low-pass of every joint column of every action, run as second-order sections.
 
@@ -310,19 +318,22 @@ def butterworth_filter(actions, spec: FilterSpec = FilterSpec()) -> list[ActionM
     sections stay stable at high orders and low cutoffs, where the
     (b, a) transfer-function form overflows. Edges are padded by odd
     reflection for one settling length and trimmed afterwards. Actions that
-    share a frame rate and a power-of-two length class are filtered in one
-    pass; each result equals ``scipy.signal.sosfiltfilt`` of that action
-    alone, bit for bit.
+    share a frame rate and a power-of-two length class are filtered
+    together, in chunks of whole, consecutive actions of at most
+    ``_FILTER_ELEMENTS`` buffer elements, and every chunk reuses one buffer.
+    Each result equals ``scipy.signal.sosfiltfilt`` of that action alone,
+    bit for bit.
 
     The function works on its own list of the actions and keeps only their
-    metadata: each raw action is dropped once its samples are in the pass's
-    buffer. A caller that hands over the only reference, say as an
-    iterator, holds the pool twice at the peak (buffer and filtered copies)
-    instead of three times; a caller that keeps its sequence keeps it intact.
+    metadata: each raw action is dropped once its chunk is buffered. A
+    caller that hands over the only reference, say as an iterator, holds the
+    pool once at the peak (the raw actions still to come and the filtered
+    copies), plus the buffer; a caller that keeps its sequence keeps it
+    intact, and holds the pool twice.
     """
     actions = list(actions)
-    # The design depends on the rate. A pass runs every column for as many
-    # frames as its longest action has, so lengths in a pass stay within 2x.
+    # The design depends on the rate. A chunk runs every column for as many
+    # frames as its longest action has, so lengths in a group stay within 2x.
     groups: dict[tuple[float, int], list[int]] = {}
     for i, key in enumerate([(a.frame_rate, a.num_frames.bit_length()) for a in actions]):
         groups.setdefault(key, []).append(i)
@@ -336,41 +347,79 @@ def butterworth_filter(actions, spec: FilterSpec = FilterSpec()) -> list[ActionM
             )
     meta = [(a.frame_rate, a.class_label, a.subject_id, a.action_id) for a in actions]
     pad = 3 * (spec.order + 1)
+    rows = [a.num_frames + 2 * min(pad, a.num_frames - 1) for a in actions]
+    columns = [a.num_joints for a in actions]
+    plan = [(rate, _chunks(members, rows, columns)) for (rate, _), members in groups.items()]
+    buf = np.empty(max(
+        (max(rows[i] for i in chunk) * sum(columns[i] for i in chunk)
+         for _, chunks in plan for chunk in chunks),
+        default=0,
+    ))
     filtered: dict[int, ActionMatrix] = {}
-    for (rate, _), members in groups.items():
-        signals = [actions[i].samples for i in members]
-        for i in members:
-            actions[i] = None
+    for rate, chunks in plan:
         sos = lowpass_sos(spec.order, spec.cutoff_hz, rate)
-        # no name outlives the statement, so this pass's buffer is freed before the next
-        filtered.update(
-            (i, ActionMatrix(x, *meta[i])) for i, x in zip(members, _sosfiltfilt(signals, sos, pad))
-        )
+        zi = sosfilt_zi(sos)[:, :, None]
+        for chunk in chunks:
+            signals = [actions[i].samples for i in chunk]
+            for i in chunk:
+                actions[i] = None
+            # each view into the buffer is copied out before the next chunk fills it
+            filtered.update(
+                (i, ActionMatrix(x, *meta[i]))
+                for i, x in zip(chunk, _sosfiltfilt(signals, sos, zi, pad, buf))
+            )
     return [filtered[i] for i in range(len(meta))]
 
 
-def _sosfiltfilt(signals, sos: np.ndarray, pad: int) -> list[np.ndarray]:
+def _chunks(members: list[int], rows: list[int], columns: list[int]) -> list[list[int]]:
+    """``members`` split into chunks of whole, consecutive actions of at most ``_FILTER_ELEMENTS`` elements.
+
+    A chunk holds at most as many columns as fit the bound at the rows of
+    the group's longest action. As ``_blocked_sum`` splits a wide row, the
+    columns are shared evenly among the fewest chunks that fit: a chunk ends
+    once it holds its share, or when the next action would overfill it. An
+    action wider than a chunk starts one of its own and ends it.
+    """
+    cap = max(1, _FILTER_ELEMENTS // max(rows[i] for i in members))
+    total = sum(columns[i] for i in members)
+    fewest = -(-total // cap)
+    share = -(-total // fewest)
+    chunks, chunk, width = [], [], 0
+    for i in members:
+        if chunk and (width >= share or width + columns[i] > cap):
+            chunks.append(chunk)
+            chunk, width = [], 0
+        chunk.append(i)
+        width += columns[i]
+    chunks.append(chunk)
+    return chunks
+
+
+def _sosfiltfilt(signals, sos: np.ndarray, zi: np.ndarray, pad: int, buf: np.ndarray) -> list[np.ndarray]:
     """scipy's ``sosfiltfilt(sos, x, axis=0, padlen=min(pad, T - 1))`` of every (T, J) ``x`` at once.
 
-    Each signal's odd extension is written into its own column block of one
-    buffer, left-aligned, so one pass of the filter over the buffer's rows
-    filters every column. Between the passes each block is reversed within
-    its own length. Rows past a block's length hold the filter's decaying
-    tail, which no result reads. The results are views into the buffer.
-    ``signals`` is emptied once the buffer holds it, so arrays the caller
-    no longer references are freed before the passes.
+    ``zi`` is ``sosfilt_zi(sos)`` with a trailing axis. The start of the
+    flat buffer ``buf`` is shaped as rows of the longest padded signal by
+    the signals' columns, and zeroed. Each signal's odd extension is written
+    into its own column block, left-aligned, so one pass of the filter over
+    those rows filters every column. Between the passes each block is
+    reversed within its own length. Rows past a block's length hold the
+    filter's decaying tail, which no result reads. The results are views
+    into ``buf``, valid until it is filled again. ``signals`` is emptied
+    once the buffer holds it, so arrays the caller no longer references are
+    freed before the passes.
     """
     edges = [min(pad, len(x) - 1) for x in signals]
     lengths = [len(x) + 2 * e for x, e in zip(signals, edges)]
     ends = np.cumsum([x.shape[1] for x in signals]).tolist()
-    buf = np.zeros((max(lengths), ends[-1]))
+    buf = buf[: max(lengths) * ends[-1]].reshape(max(lengths), ends[-1])
+    buf.fill(0.0)
     blocks = [buf[:n, end - x.shape[1] : end] for x, n, end in zip(signals, lengths, ends)]
     for x, e, block in zip(signals, edges, blocks):
         np.subtract(2 * x[:1], x[e:0:-1], out=block[:e])
         block[e:-e] = x
         np.subtract(2 * x[-1:], x[-2 : -(e + 2) : -1], out=block[-e:])
     del x, signals[:]  # the buffer holds the samples now
-    zi = sosfilt_zi(sos)[:, :, None]
     _sosfilt(sos, buf, zi * buf[0])
     for block in blocks:
         block[...] = block[::-1]
@@ -383,15 +432,28 @@ def _sosfilt(sos: np.ndarray, x: np.ndarray, state: np.ndarray) -> None:
     """Filter every column of ``x`` along its rows, in place, from per-section ``state`` (n, 2, J).
 
     Transposed direct form II with the per-element operation order of
-    scipy's ``_sosfilt``, which keeps the results bit-identical to it.
+    scipy's ``_sosfilt``, which keeps the results bit-identical to it:
+    ``y = b0*x + z0``, ``z0 = b1*x - a1*y + z1``, ``z1 = b2*x - a2*y``.
+    Every operation writes into the row, the state or one of two row-sized
+    temporaries, so the loop allocates nothing. The coefficients are 0-d
+    arrays and ``out`` is passed by position, which numpy handles with less
+    work per call than a Python float or an ``out=`` keyword.
     """
-    sections = [(tuple(float(c) for c in section), z) for section, z in zip(sos, state)]
+    sections = [
+        (tuple(np.array(c) for c in section), z0, z1) for section, (z0, z1) in zip(sos, state)
+    ]
+    bx1, bx2 = np.empty(x.shape[1]), np.empty(x.shape[1])
     for row in x:
-        for (b0, b1, b2, _, a1, a2), z in sections:
-            y = b0 * row + z[0]
-            z[0] = b1 * row - a1 * y + z[1]
-            z[1] = b2 * row - a2 * y
-            row[...] = y
+        for (b0, b1, b2, _, a1, a2), z0, z1 in sections:
+            np.multiply(row, b1, bx1)
+            np.multiply(row, b2, bx2)
+            np.multiply(row, b0, row)
+            np.add(row, z0, row)  # y, in place of x
+            np.multiply(row, a1, z0)
+            np.subtract(bx1, z0, z0)
+            np.add(z0, z1, z0)
+            np.multiply(row, a2, z1)
+            np.subtract(bx2, z1, z1)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from codemotion import ActionMatrix
+from codemotion import ActionMatrix, ingest
 
 
 def random_action(rng, joints=None, frames=None, scale=30.0, frame_rate=30.0, **meta):
@@ -30,16 +30,19 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
-def pool_held_twice(count, frames, joints, order=2):
+def pool_held_once(count, frames, joints, order=2):
     """Peak bytes allowed for filtering ``count`` (frames, joints) actions that were handed over.
 
-    One pool's sample bytes, the filter buffer and a quarter pool of slack:
-    a filter that keeps the raw pool to the end holds about two pools plus
-    the buffer.
+    One pool's sample bytes, one chunk of the filter's buffer and a quarter
+    pool of slack. A chunk holds at most ``_FILTER_ELEMENTS`` elements, or
+    one action if that is larger, and never more than the whole pool; a
+    filter that buffers a pool of several chunks at once holds it about
+    twice.
     """
     pool = count * frames * joints * 8
-    buffer = (frames + 2 * min(3 * (order + 1), frames - 1)) * count * joints * 8
-    return pool + buffer + pool // 4
+    rows = frames + 2 * min(3 * (order + 1), frames - 1)
+    columns = min(count * joints, max(joints, ingest._FILTER_ELEMENTS // rows))
+    return pool + rows * columns * 8 + pool // 4
 
 
 @pytest.fixture

@@ -11,10 +11,10 @@ import pytest
 
 from codemotion import (
     FilterSpec, Metric, MetricSpec, SplitPlan, SyntheticConfig, butterworth_filter, evaluate,
-    generate_synthetic, load_dataset, noise_sweep, save_dataset,
+    generate_synthetic, ingest, load_dataset, noise_sweep, save_dataset,
 )
 from codemotion.cli import _load_actions, build_parser, main
-from conftest import pool_held_twice, traced_peak
+from conftest import pool_held_once, traced_peak
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -405,7 +405,17 @@ class TestNoise:
 class TestLoadActions:
     def test_loaded_pool_is_handed_to_the_filter(self, tmp_path, monkeypatch):
         # Parsed in this process, so tracemalloc sees every array. Keeping the
-        # raw pool until the filter returns would hold it three times.
+        # raw pool until the filter returns would hold it twice.
+        self.check_held_once(tmp_path, monkeypatch)
+
+    def test_pool_of_several_chunks_is_held_once(self, tmp_path, monkeypatch):
+        # 1 << 16 elements split the pool into four chunks of six actions, so
+        # a buffer as wide as the pool would hold it about twice
+        monkeypatch.setattr(ingest, "_FILTER_ELEMENTS", 1 << 16)
+        self.check_held_once(tmp_path, monkeypatch)
+
+    @staticmethod
+    def check_held_once(tmp_path, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         config = SyntheticConfig(classes=4, per_class=3, subjects=2, joints=20, frames=400, seed=3)
@@ -414,7 +424,7 @@ class TestLoadActions:
             ["describe", "--manifest", str(manifest), "--out", str(tmp_path / "out")]
         )
         actions, peak = traced_peak(lambda: _load_actions(args))
-        assert peak < pool_held_twice(24, 400, 20)
+        assert peak < pool_held_once(24, 400, 20)
         expected = butterworth_filter(load_dataset(manifest), FilterSpec())
         assert [a.samples.tobytes() for a in actions] == [a.samples.tobytes() for a in expected]
 

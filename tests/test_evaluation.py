@@ -21,7 +21,7 @@ from codemotion import (
 from codemotion import evaluation
 from oracles import csm_score
 
-from conftest import pool_held_twice, random_action, traced_peak
+from conftest import pool_held_once, random_action, traced_peak
 
 CSM = MetricSpec(Metric.CSM)
 
@@ -581,7 +581,7 @@ class TestNoiseSweep:
     @pytest.mark.parametrize("corrupt_train", [False, True], ids=["test-only", "corrupt-train"])
     def test_noisy_pool_is_freed_as_it_is_buffered(self, rng, corrupt_train):
         # the filter gets each noisy pool as a generator, so it holds the pool
-        # twice at the peak (buffer and results), like a pool handed over to it
+        # once at the peak, plus its buffer, like a pool handed over to it
         count, frames, joints = 24, 400, 20
         actions = [ActionMatrix(20.0 * rng.standard_normal((frames, joints)), 120.0, f"c{i % 3}",
                                 "s", f"a{i}") for i in range(count)]
@@ -594,4 +594,4 @@ class TestNoiseSweep:
         expected = sweep()  # first-call imports and caches stay out of the measured peak
         reports, peak = traced_peak(sweep)
         assert [r.accuracy_mean for r in reports] == [r.accuracy_mean for r in expected]
-        assert peak < pool_held_twice(count, frames, joints)
+        assert peak < pool_held_once(count, frames, joints)

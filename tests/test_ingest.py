@@ -26,7 +26,7 @@ from codemotion import (
 )
 from oracles import pearson
 
-from conftest import pool_held_twice, random_action, traced_peak
+from conftest import pool_held_once, random_action, traced_peak
 
 
 def write_dataset(tmp_path, files, name="tiny"):
@@ -515,9 +515,14 @@ def pool_actions(rng, count, frames, joints):
 
 
 class TestFilterMemory:
-    """A pool handed over to the filter is held twice at the peak: as the buffer and as results."""
+    """A pool handed over to the filter is held once at the peak, plus one chunk of buffer.
 
-    @pytest.mark.parametrize("count, frames, joints", [(40, 600, 20), (80, 60, 60)])
+    The raw actions not yet buffered and the filtered copies add up to one
+    pool. The 180-action pool spans three chunks of the real bound, so a
+    filter that buffered it whole would hold it about twice.
+    """
+
+    @pytest.mark.parametrize("count, frames, joints", [(40, 600, 20), (80, 60, 60), (180, 600, 20)])
     @pytest.mark.parametrize("hand_over", [lambda pool: iter(list(pool)), lambda pool: pool],
                              ids=["iterator", "generator"])
     def test_handed_over_pool_is_freed_as_it_is_buffered(self, rng, count, frames, joints, hand_over):
@@ -526,7 +531,7 @@ class TestFilterMemory:
             lambda: butterworth_filter(hand_over(pool_actions(rng, count, frames, joints)), FilterSpec())
         )
         assert [a.samples.shape for a in filtered] == [(frames, joints)] * count
-        assert peak < pool_held_twice(count, frames, joints)
+        assert peak < pool_held_once(count, frames, joints)
 
 
 class TestGenerateSynthetic:
