@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import itertools
 import json
 import math
@@ -82,9 +83,8 @@ def _list_flag(text: str, flag: str, parse=str) -> list:
 
 
 def _write_csv(path, header, rows) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(str(cell) for cell in row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows([header, *rows])
 
 
 def _write_confusion_csv(path, report) -> None:

@@ -94,7 +94,7 @@ class CodeDescriptor:
 
     ``mij`` is ordered by descending variance. ``corr`` holds one value per
     unordered MIJ pair, laid out as the row-major upper triangle over rank
-    positions: (0,1), (0,2), ..., (jm-2, jm-1).
+    positions: (0,1), (0,2), ..., (jm-2, jm-1). Each lies in [-1, 1].
     """
 
     mij: np.ndarray
@@ -128,6 +128,8 @@ class CodeDescriptor:
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains NaN or infinite values")
             object.__setattr__(self, name, arr)
+        if (np.abs(self.corr) > 1.0).any():
+            raise ValueError("corr values must lie in [-1, 1]")
 
     @property
     def stacked_length(self) -> int:

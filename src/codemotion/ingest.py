@@ -15,7 +15,7 @@ import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +98,14 @@ def load_manifest(path) -> DatasetManifest:
         raise DatasetError(f"{path}: 'entries' must be a non-empty list")
     entries = []
     for n, raw in enumerate(payload["entries"]):
+        # only a JSON string or number is a value: str() would make a label of the rest
+        for field in fields(ManifestEntry) if isinstance(raw, dict) else ():
+            value = raw.get(field.name, "")
+            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+                raise DatasetError(
+                    f"{path}: entry {n}: {field.name!r} must be a string or a number, "
+                    f"got {json.dumps(value)}"
+                )
         try:
             entries.append(
                 ManifestEntry(

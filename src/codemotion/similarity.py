@@ -229,22 +229,22 @@ def _mij_pairs(descriptors, num_joints: int):
 
 
 def _csm_terms(queries, references, self_pair: bool):
-    """Per query MIJ pair, in pair-id order: ``mask * w * (q_mass + mass)``.
+    """Per query MIJ pair, in pair-id order: ``max(0, w) * (q_mass + mass)``.
 
-    ``w = 1 - 0.5 * |q_corr - corr|``; ``mask``, ``corr`` and ``mass`` are
-    the reference's, zero where it lacks the pair. The non-zero terms of a
-    cell are then the shared pairs in the same order from either side, so
-    ``S(Q, R) == S(R, Q).T`` bit for bit.
+    ``w = 1 - 0.5 * |q_corr - corr|``, with the reference's ``corr`` infinite
+    and its ``mass`` zero where it lacks the pair, so that pair's weight is 0;
+    correlations lie in [-1, 1], so a shared pair's ``w`` is at least 0 as it
+    is. The non-zero terms of a cell are then the shared pairs in the same
+    order from either side, so ``S(Q, R) == S(R, Q).T`` bit for bit.
     """
     num_joints = 1 + max(int(d.mij.max()) for d in queries + references)
     q_pairs = _mij_pairs(queries, num_joints)
     r_ids, r_corr, r_mass = q_pairs if self_pair else _mij_pairs(references, num_joints)
-    # Reference tables indexed by pair id, zero where a reference lacks the pair.
-    mask = np.zeros((num_joints * (num_joints - 1) // 2, len(references)))
-    corr = np.zeros_like(mask)
-    mass = np.zeros_like(mask)
+    # Reference tables indexed by pair id: a missing pair is infinitely far in
+    # correlation and has no mass.
+    corr = np.full((num_joints * (num_joints - 1) // 2, len(references)), np.inf)
+    mass = np.zeros_like(corr)
     cols = np.arange(len(references))[:, None]
-    mask[r_ids, cols] = 1.0
     corr[r_ids, cols] = r_corr
     mass[r_ids, cols] = r_mass
     # pair-major, so a block's gathers come out C-contiguous
@@ -257,11 +257,10 @@ def _csm_terms(queries, references, self_pair: bool):
         np.abs(weight, out=weight)
         weight *= 0.5
         np.subtract(1.0, weight, out=weight)
-        shared = mask[ids, cols]
-        shared *= weight
+        np.maximum(weight, 0.0, out=weight)
         pair_mass = mass[ids, cols]
         pair_mass += q_mass[:, rows, None]
-        shared *= pair_mass
-        return shared
+        weight *= pair_mass
+        return weight
 
     return q_ids.shape[0], terms

@@ -203,6 +203,24 @@ class TestCrossval:
         assert rows[0][0] == "true\\predicted"
         assert len(rows) == 1 + len(report["classes"])
 
+    def test_confusion_csv_quotes_labels_with_commas_and_quotes(self, synth_dir, tmp_path):
+        def relabel(entries):
+            names = dict(zip(sorted({e["class_label"] for e in entries}), ["walk, fast", 'say "hi"']))
+            for entry in entries:
+                entry["class_label"] = names[entry["class_label"]]
+
+        manifest = copy_dataset(synth_dir, tmp_path / "data", relabel)
+        out = tmp_path / "report.json"
+        assert run("crossval", "--manifest", manifest, "--jm", 3, "--folds", 4, "--seed", 3,
+                   "--out", out) == 0
+        classes = json.loads(out.read_text())["classes"]
+        assert sorted(classes) == ['say "hi"', "walk, fast"]
+        with open(tmp_path / "report.json.confusion.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["true\\predicted"] + classes
+        assert [row[0] for row in rows[1:]] == classes
+        assert all(len(row) == 1 + len(classes) for row in rows)
+
     def test_loo_when_folds_equal_dataset_size(self, synth_dir, tmp_path):
         out = tmp_path / "loo.json"
         with pytest.warns(UserWarning):
@@ -547,6 +565,19 @@ class TestExitCodes:
             f"error: {manifest}: manifest entry 5 ({entries[5]['action_id']!r}): "
             "frame_rate must be positive and finite, got inf\n"
         )
+        assert not out.exists()
+
+    def test_null_class_label_is_named_before_any_csv_is_parsed(self, synth_dir, tmp_path, capsys):
+        def null_third(entries):
+            entries[2]["class_label"] = None
+
+        manifest = copy_dataset(synth_dir, tmp_path / "data", null_third)
+        entries = json.loads(manifest.read_text())["entries"]
+        (manifest.parent / entries[0]["path"]).write_text("1,x\n")
+        out = tmp_path / "cv.json"
+        assert run("crossval", "--manifest", manifest, "--jm", 3, "--folds", 4, "--seed", 3, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {manifest}: entry 2: 'class_label' must be a string or a number, got null\n"
         assert not out.exists()
 
     def test_non_utf8_csv_is_named(self, synth_dir, tmp_path, capsys):

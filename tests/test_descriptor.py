@@ -317,3 +317,8 @@ class TestDescriptorValidation:
     def test_wrong_corr_length_rejected(self):
         with pytest.raises(ValueError, match="corr"):
             CodeDescriptor([0, 1], [0.5, 0.5], [1, 0], [1, 0], [0.0, 0.0], jm=2)
+
+    @pytest.mark.parametrize("value", [1.5, -1.0000001])
+    def test_corr_outside_unit_interval_rejected(self, value):
+        with pytest.raises(ValueError, match=r"corr values must lie in \[-1, 1\]"):
+            CodeDescriptor([0, 1], [0.5, 0.5], [1, 0], [1, 0], [value], jm=2)

@@ -184,6 +184,28 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match=f"^{re.escape(expected)}$"):
             load_manifest(manifest)
 
+    @pytest.mark.parametrize("key, value, shown", [
+        ("class_label", None, "null"),
+        ("class_label", ["a"], '["a"]'),
+        ("frame_rate", True, "true"),
+        ("subject_id", {"s": 1}, '{"s": 1}'),
+        ("angle_unit", False, "false"),
+    ], ids=["null", "array", "boolean-rate", "object", "boolean-unit"])
+    def test_non_scalar_manifest_value_rejected(self, tmp_path, key, value, shown):
+        # the CSV is unparseable: the manifest's error must come first
+        manifest = write_dataset(tmp_path, [
+            ("a.csv", "1,2\n3,4\n", {"action_id": "a"}),
+            ("b.csv", "1,x\n", {"action_id": "b", key: value}),
+        ])
+        expected = f"{manifest}: entry 1: {key!r} must be a string or a number, got {shown}"
+        with pytest.raises(DatasetError, match=f"^{re.escape(expected)}$"):
+            load_dataset(manifest)
+
+    def test_numeric_manifest_values_keep_their_conversion(self, tmp_path):
+        manifest = write_dataset(tmp_path, [("a.csv", "1,2\n3,4\n", {"class_label": 3, "frame_rate": 60})])
+        entry = load_manifest(manifest).entries[0]
+        assert (entry.class_label, entry.frame_rate) == ("3", 60.0)
+
     def test_missing_manifest_key_reported(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({"dataset_name": "x", "entries": [{"path": "a.csv"}]}))

@@ -14,7 +14,7 @@ from codemotion import (
 from codemotion import similarity
 from oracles import csm_score, euclidean_distance, manhattan_distance
 
-from conftest import random_action
+from conftest import random_action, traced_peak
 
 
 def make_descriptor(mij, var, vmax, vmin, corr):
@@ -273,10 +273,15 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=SPEC_IDS)
     def test_cells_equal_a_plain_loop_in_term_order(self, rng, spec):
         # jm = 12 over 14 joints: 66 terms a cell and most pairs shared, so a
-        # pairwise or reordered sum would change last bits
-        descs = random_descriptors(rng, 9, jm=12, joints=14)
-        assert_same_bits(similarity_matrix(descs, descs, spec), loop_matrix(descs, descs, spec))
-        assert_same_bits(similarity_matrix(descs[:4], descs[4:], spec), loop_matrix(descs[:4], descs[4:], spec))
+        # pairwise or reordered sum would change last bits; jm = 6 over 30
+        # joints: most pairs missing from the reference, each a clamped weight.
+        # No floating-point flag may be raised on the way.
+        for descs in (random_descriptors(rng, 9, jm=12, joints=14), random_descriptors(rng, 9, jm=6, joints=30)):
+            with np.errstate(all="raise"):
+                assert_same_bits(similarity_matrix(descs, descs, spec), loop_matrix(descs, descs, spec))
+                assert_same_bits(
+                    similarity_matrix(descs[:4], descs[4:], spec), loop_matrix(descs[:4], descs[4:], spec)
+                )
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=SPEC_IDS)
     def test_self_and_cross_paths_and_block_sizes_agree(self, rng, spec, monkeypatch):
@@ -320,6 +325,17 @@ class TestBlockedKernel:
         matrix = similarity_matrix(queries, references, spec)
         assert_same_bits(matrix, loop_matrix(queries, references, spec))
         assert_same_bits(similarity_matrix(references, queries, spec), matrix.T)
+
+    def test_csm_peak_is_two_reference_tables(self, rng):
+        # J = 60 joints, jm = 20: the kernel holds a (pair id, reference)
+        # correlation table and a mass table, the matrix and its blocks
+        descs = random_descriptors(rng, 400, jm=20, joints=60)
+        assert 1 + max(int(d.mij.max()) for d in descs) == 60
+        spec = MetricSpec(Metric.CSM)
+        for queries, references in ((descs, descs), (descs[:160], descs[160:])):
+            table = 60 * 59 // 2 * len(references) * 8
+            matrix, peak = traced_peak(lambda: similarity_matrix(queries, references, spec))
+            assert peak <= 2 * table + matrix.nbytes + (4 << 20)
 
     def test_all_zero_terms_sum_to_positive_zero(self):
         # one shared pair whose weight is 0 (correlations 1 and -1) and whose
