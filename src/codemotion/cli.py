@@ -62,6 +62,17 @@ def _load_actions(args):
     return list(actions) if spec is None else butterworth_filter(actions, spec)
 
 
+def _hand_over(args, split):
+    """The loaded actions as an iterator, and the plan that ``split`` builds from them.
+
+    The evaluation takes the iterator, so once it has described the actions
+    it holds the only reference and frees them before scoring; a list would
+    stay alive in this module's frames for the whole call.
+    """
+    actions = _load_actions(args)
+    return iter(actions), split(actions)
+
+
 def _metric_spec(args) -> MetricSpec:
     return MetricSpec.parse(args.metric, args.features)
 
@@ -127,25 +138,27 @@ def _sanitize(name: str) -> str:
 
 def cmd_describe(args) -> int:
     actions, _ = _pool(_load_actions(args), [args.jm])
-    names = [f"{_sanitize(a.action_id)}.json" for a in actions]
+    ids = [a.action_id for a in actions]
+    names = [f"{_sanitize(action_id)}.json" for action_id in ids]
     owners = {}
-    for action, name in zip(actions, names):
+    for action_id, name in zip(ids, names):
         if name == "summary.json":
             raise ValueError(
-                f"action id {action.action_id!r} maps to output file summary.json, "
+                f"action id {action_id!r} maps to output file summary.json, "
                 "which is reserved for the run summary"
             )
         if name in owners:
             raise ValueError(
-                f"action ids {owners[name]!r} and {action.action_id!r} both map to output file {name}"
+                f"action ids {owners[name]!r} and {action_id!r} both map to output file {name}"
             )
-        owners[name] = action.action_id
+        owners[name] = action_id
     descriptors, elapsed = _describe(actions, args.jm)
+    del actions  # the files need only the ids and the descriptors
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for action, desc, name in zip(actions, descriptors, names):
+    for action_id, desc, name in zip(ids, descriptors, names):
         payload = {
-            "action_id": action.action_id,
+            "action_id": action_id,
             "jm": desc.jm,
             "mij": desc.mij.tolist(),
             "var_norm": desc.var_norm.tolist(),
@@ -156,7 +169,7 @@ def cmd_describe(args) -> int:
         (out_dir / name).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     summary = {
         "dataset": Path(args.manifest).stem,
-        "actions": len(actions),
+        "actions": len(ids),
         "jm": args.jm,
         "stacked_length": stacked_length(args.jm),
         "descriptor_time_s": elapsed,
@@ -165,7 +178,7 @@ def cmd_describe(args) -> int:
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     print(
-        f"wrote {len(actions)} descriptors (stacked length {stacked_length(args.jm)}) "
+        f"wrote {len(ids)} descriptors (stacked length {stacked_length(args.jm)}) "
         f"to {out_dir} in {elapsed:.3f}s"
     )
     return 0
@@ -178,8 +191,8 @@ def _evaluate_split(args, split, protocol):
     every split shares are added here.
     """
     spec = _metric_spec(args)
-    actions = _load_actions(args)
-    report = evaluate(actions, args.jm, spec, split(actions))
+    actions, plan = _hand_over(args, split)
+    report = evaluate(actions, args.jm, spec, plan)
     protocol.update(
         jm=args.jm,
         metric=args.metric,
@@ -226,8 +239,12 @@ def cmd_sweep(args) -> int:
             specs.append(MetricSpec.parse(metric, "full"))
         else:
             specs.extend(MetricSpec.parse(metric, f) for f in features)
-    actions = _load_actions(args)
-    plan = SplitPlan.stratified_kfold([a.class_label for a in actions], args.folds, args.seed)
+    actions, plan = _hand_over(
+        args,
+        lambda actions: SplitPlan.stratified_kfold(
+            [a.class_label for a in actions], args.folds, args.seed
+        ),
+    )
     reports = mij_sweep(actions, jm_values, specs, plan)
     cells = list(zip(itertools.product(jm_values, specs), reports))
     rows = [

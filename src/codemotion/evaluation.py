@@ -285,13 +285,17 @@ def evaluate(dataset, jm: int, spec: MetricSpec, plan: SplitPlan) -> EvalReport:
 def mij_sweep(dataset, jm_values, specs, plan: SplitPlan) -> list[EvalReport]:
     """One report per (jm, spec), jm-major in the given orders.
 
-    Descriptors are computed, and scored, once per jm for the whole dataset,
-    and shared by all specs.
+    Descriptors are computed once per jm for the whole dataset, every jm
+    before any scoring, and shared by all specs. Scoring reads only the
+    descriptors, so this function lets go of the actions before it: a pool
+    handed over as an iterator is freed there, while a list the caller keeps
+    stays intact.
     """
     dataset, labels = _pool(dataset, jm_values, plan)
+    described = [_describe(dataset, jm) for jm in jm_values]
+    del dataset
     reports = []
-    for jm in jm_values:
-        descriptors, descriptor_time = _describe(dataset, jm)
+    for descriptors, descriptor_time in described:
         reports.extend(
             _classify(descriptors, descriptors, labels, spec, plan, descriptor_time) for spec in specs
         )

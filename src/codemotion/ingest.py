@@ -96,16 +96,20 @@ def load_manifest(path) -> DatasetManifest:
         raise DatasetError(f"{path}: manifest must be an object with an 'entries' list")
     if not isinstance(payload["entries"], list) or not payload["entries"]:
         raise DatasetError(f"{path}: 'entries' must be a non-empty list")
+
+    def check_value(value, where):
+        # only a JSON string or number is a value: str() would make a label of the rest
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise DatasetError(f"{path}: {where} must be a string or a number, got {json.dumps(value)}")
+
+    name = payload.get("dataset_name", path.stem)
+    check_value(name, "'dataset_name'")
     entries = []
     for n, raw in enumerate(payload["entries"]):
-        # only a JSON string or number is a value: str() would make a label of the rest
-        for field in fields(ManifestEntry) if isinstance(raw, dict) else ():
-            value = raw.get(field.name, "")
-            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-                raise DatasetError(
-                    f"{path}: entry {n}: {field.name!r} must be a string or a number, "
-                    f"got {json.dumps(value)}"
-                )
+        if not isinstance(raw, dict):
+            raise DatasetError(f"{path}: entry {n} must be a JSON object, got {json.dumps(raw)}")
+        for field in fields(ManifestEntry):
+            check_value(raw.get(field.name, ""), f"entry {n}: {field.name!r}")
         try:
             entries.append(
                 ManifestEntry(
@@ -119,10 +123,10 @@ def load_manifest(path) -> DatasetManifest:
             )
         except KeyError as exc:
             raise DatasetError(f"{path}: entry {n} is missing required key {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise DatasetError(f"{path}: entry {n} is malformed ({exc})") from None
     try:
-        return DatasetManifest(str(payload.get("dataset_name", path.stem)), tuple(entries))
+        return DatasetManifest(str(name), tuple(entries))
     except DatasetError as exc:
         raise DatasetError(f"{path}: {exc}") from None
 

@@ -30,6 +30,25 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
+def live_at_first_call(monkeypatch, owner, name, refs):
+    """Wrap ``owner.name`` to count, at its first call, the weakrefs in ``refs`` still alive.
+
+    Returns the list the count goes into; it stays empty until the first
+    call. The wrapper records rather than asserts, so that a CLI command's
+    own error handling cannot swallow the failure.
+    """
+    real = getattr(owner, name)
+    live = []
+
+    def spy(*args, **kwargs):
+        if not live:
+            live.append(sum(ref() is not None for ref in refs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return live
+
+
 def pool_held_once(count, frames, joints, order=2):
     """Peak bytes allowed for filtering ``count`` (frames, joints) actions that were handed over.
 

@@ -5,7 +5,9 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,8 +15,9 @@ from codemotion import (
     FilterSpec, Metric, MetricSpec, SplitPlan, SyntheticConfig, butterworth_filter, evaluate,
     generate_synthetic, ingest, load_dataset, noise_sweep, save_dataset,
 )
+from codemotion import cli, evaluation
 from codemotion.cli import _load_actions, build_parser, main
-from conftest import pool_held_once, traced_peak
+from conftest import live_at_first_call, pool_held_once, traced_peak
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -447,6 +450,53 @@ class TestLoadActions:
         assert [a.samples.tobytes() for a in actions] == [a.samples.tobytes() for a in expected]
 
 
+class TestHandOver:
+    """Every command lets go of the loaded pool once it is described.
+
+    The actions are parsed in this process, as in ``TestLoadActions``, and a
+    weakref to each filtered action must be dead by the first similarity
+    matrix (for ``describe``, by the first descriptor file).
+    """
+
+    @pytest.fixture
+    def manifest(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        config = SyntheticConfig(classes=3, per_class=4, subjects=2, joints=8, frames=60, seed=3)
+        return save_dataset(*generate_synthetic(config), tmp_path / "data")
+
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        refs = []
+        real = cli.butterworth_filter
+
+        def recording(actions, spec):
+            filtered = real(actions, spec)
+            refs.extend(map(weakref.ref, filtered))
+            return filtered
+
+        monkeypatch.setattr(cli, "butterworth_filter", recording)
+        return refs
+
+    @pytest.mark.parametrize("command", [
+        ["crossval", "--jm", 4, "--folds", 3, "--seed", 1],
+        ["cross-subject", "--jm", 4, "--train-subjects", "subject00"],
+        ["sweep", "--jm", "2,4", "--folds", 3, "--seed", 1],
+    ], ids=["crossval", "cross-subject", "sweep"])
+    def test_pool_freed_before_scoring(self, tmp_path, monkeypatch, manifest, pool, command):
+        live = live_at_first_call(monkeypatch, evaluation, "similarity_matrix", pool)
+        assert run(*command, "--manifest", manifest, "--out", tmp_path / "out") == 0
+        assert len(pool) == 24
+        assert live == [0]
+
+    def test_describe_writes_from_ids_and_descriptors(self, tmp_path, monkeypatch, manifest, pool):
+        monkeypatch.setattr(cli, "json", SimpleNamespace(dumps=json.dumps))
+        live = live_at_first_call(monkeypatch, cli.json, "dumps", pool)
+        assert run("describe", "--manifest", manifest, "--jm", 4, "--out", tmp_path / "out") == 0
+        assert len(pool) == 24
+        assert live == [0]
+
+
 class TestScipyFreeRuntime:
     def test_cli_import_loads_no_scipy(self):
         loaded = run_python(
@@ -532,6 +582,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{manifest}: 'entries' must be a non-empty list" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("entry, shown", [(None, "null"), ("a.csv", '"a.csv"')], ids=["null", "string"])
+    def test_non_object_entry_is_input_error(self, tmp_path, capsys, entry, shown):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"dataset_name": "x", "entries": [entry]}))
+        assert run("describe", "--manifest", manifest, "--jm", 3, "--out", tmp_path / "desc") == 1
+        assert capsys.readouterr().err == f"error: {manifest}: entry 0 must be a JSON object, got {shown}\n"
 
     def test_cutoff_above_nyquist_names_the_action(self, synth_dir, tmp_path, capsys):
         def slow_fourth(entries):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from codemotion import (
 from codemotion import evaluation
 from oracles import csm_score
 
-from conftest import pool_held_once, random_action, traced_peak
+from conftest import live_at_first_call, pool_held_once, random_action, traced_peak
 
 CSM = MetricSpec(Metric.CSM)
 
@@ -467,6 +469,29 @@ class TestMijSweep:
         base = mij_sweep(actions, [5], [spec], plan)[0]
         swapped = mij_sweep(permuted, [5], [spec], plan)[0]
         assert base.accuracy_mean == swapped.accuracy_mean
+
+    def test_handed_over_pool_is_freed_before_scoring(self, monkeypatch):
+        # every jm is described before the first score, and the actions go then
+        actions = disjoint_dataset(per_class=4)
+        refs = [weakref.ref(a) for a in actions]
+        plan = SplitPlan.stratified_kfold([a.class_label for a in actions], k=4, seed=0)
+        live = live_at_first_call(monkeypatch, evaluation, "similarity_matrix", refs)
+        pool = iter(actions)
+        del actions
+        assert len(mij_sweep(pool, [2, 3], [CSM], plan)) == 2
+        assert live == [0]
+
+    def test_kept_list_gives_the_same_reports_and_stays_intact(self):
+        actions = disjoint_dataset(per_class=4)
+        kept = list(actions)
+        samples = [a.samples.tobytes() for a in actions]
+        plan = SplitPlan.stratified_kfold([a.class_label for a in actions], k=4, seed=0)
+        specs = [CSM, MetricSpec(Metric.MANHATTAN, FeatureSet.VARIANCE)]
+        from_list = mij_sweep(actions, [2, 3], specs, plan)
+        handed_over = mij_sweep(iter(list(actions)), [2, 3], specs, plan)
+        assert [without_timing(r) for r in from_list] == [without_timing(r) for r in handed_over]
+        assert len(actions) == len(kept) and all(a is b for a, b in zip(actions, kept))
+        assert [a.samples.tobytes() for a in actions] == samples
 
     def test_sweep_reproducible(self):
         actions = disjoint_dataset(per_class=4)

@@ -201,6 +201,35 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match=f"^{re.escape(expected)}$"):
             load_dataset(manifest)
 
+    @pytest.mark.parametrize("value, shown", [
+        (None, "null"), (["x"], '["x"]'), (True, "true"), ({"n": 1}, '{"n": 1}'),
+    ], ids=["null", "array", "boolean", "object"])
+    def test_non_scalar_dataset_name_rejected(self, tmp_path, value, shown):
+        manifest = write_dataset(tmp_path, [("a.csv", "1,2\n3,4\n", {})], name=value)
+        expected = f"{manifest}: 'dataset_name' must be a string or a number, got {shown}"
+        with pytest.raises(DatasetError, match=f"^{re.escape(expected)}$"):
+            load_manifest(manifest)
+
+    @pytest.mark.parametrize("named, name", [({}, "walks"), ({"dataset_name": 7}, "7")],
+                             ids=["missing", "number"])
+    def test_dataset_name_defaults_to_the_file_stem(self, tmp_path, named, name):
+        path = tmp_path / "walks.json"
+        entry = {"path": "a.csv", "class_label": "c", "subject_id": "s", "action_id": "a", "frame_rate": 30}
+        path.write_text(json.dumps({**named, "entries": [entry]}))
+        assert load_manifest(path).dataset_name == name
+
+    @pytest.mark.parametrize("raw, shown", [(None, "null"), ("a.csv", '"a.csv"'), ([1], "[1]")],
+                             ids=["null", "string", "array"])
+    def test_non_object_entry_rejected_before_any_csv_is_parsed(self, tmp_path, raw, shown):
+        # entry 0 names an unparseable CSV: the manifest's error must come first
+        manifest = write_dataset(tmp_path, [("a.csv", "1,x\n", {})])
+        payload = json.loads(manifest.read_text())
+        payload["entries"].append(raw)
+        manifest.write_text(json.dumps(payload))
+        expected = f"{manifest}: entry 1 must be a JSON object, got {shown}"
+        with pytest.raises(DatasetError, match=f"^{re.escape(expected)}$"):
+            load_dataset(manifest)
+
     def test_numeric_manifest_values_keep_their_conversion(self, tmp_path):
         manifest = write_dataset(tmp_path, [("a.csv", "1,2\n3,4\n", {"class_label": 3, "frame_rate": 60})])
         entry = load_manifest(manifest).entries[0]
