@@ -73,6 +73,18 @@ def _hand_over(args, split):
     return iter(actions), split(actions)
 
 
+def _seed(text: str) -> int:
+    """The value of ``--seed``: numpy's generators take a non-negative integer only."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _kfold(args):
+    """The split of ``--folds`` and ``--seed``: a stratified k-fold plan of the loaded actions."""
+    return lambda actions: SplitPlan.stratified_kfold([a.class_label for a in actions], args.folds, args.seed)
+
+
 def _metric_spec(args) -> MetricSpec:
     return MetricSpec.parse(args.metric, args.features)
 
@@ -206,9 +218,7 @@ def _evaluate_split(args, split, protocol):
 def cmd_crossval(args) -> int:
     report = _evaluate_split(
         args,
-        lambda actions: SplitPlan.stratified_kfold(
-            [a.class_label for a in actions], args.folds, args.seed
-        ),
+        _kfold(args),
         {"kind": "stratified-kfold", "folds": args.folds, "seed": args.seed},
     )
     print(
@@ -239,12 +249,7 @@ def cmd_sweep(args) -> int:
             specs.append(MetricSpec.parse(metric, "full"))
         else:
             specs.extend(MetricSpec.parse(metric, f) for f in features)
-    actions, plan = _hand_over(
-        args,
-        lambda actions: SplitPlan.stratified_kfold(
-            [a.class_label for a in actions], args.folds, args.seed
-        ),
-    )
+    actions, plan = _hand_over(args, _kfold(args))
     reports = mij_sweep(actions, jm_values, specs, plan)
     cells = list(zip(itertools.product(jm_values, specs), reports))
     rows = [
@@ -277,7 +282,7 @@ def cmd_noise(args) -> int:
     if not all(math.isfinite(s) and s >= 0 for s in sigmas):
         raise ValueError("--sigmas: noise standard deviations must be finite and non-negative")
     actions = load_dataset(args.manifest)  # raw: noise must land before filtering
-    plan = SplitPlan.stratified_kfold([a.class_label for a in actions], args.folds, args.seed)
+    plan = _kfold(args)(actions)
     reports = noise_sweep(
         actions, sigmas, args.jm, spec, plan,
         seed=args.seed, filter_spec=filter_spec, corrupt_train=args.corrupt_train,
@@ -326,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         if folds:
             p.add_argument("--folds", type=int, default=10, metavar="K")
         if seed:
-            p.add_argument("--seed", type=int, required=True, metavar="N",
+            p.add_argument("--seed", type=_seed, required=True, metavar="N",
                            help="required: all randomness is explicit")
 
     p = sub.add_parser("describe", help="write one descriptor JSON per action plus a summary")
@@ -357,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", default="var,var-vel,full", metavar="LIST",
                    help="comma-separated feature sets for the baseline metrics")
     p.add_argument("--folds", type=int, default=10, metavar="K")
-    p.add_argument("--seed", type=int, required=True, metavar="N")
+    p.add_argument("--seed", type=_seed, required=True, metavar="N")
     _add_filter_flags(p)
     p.add_argument("--out", required=True, metavar="PATH")
     p.set_defaults(func=cmd_sweep)
@@ -378,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--joints", type=int, default=20)
     p.add_argument("--frames", type=int, default=240)
     p.add_argument("--frame-rate", type=float, default=30.0)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--active-joints", type=int, default=None,
                    help="active joints per class (default joints // 5, at least 2)")
     p.add_argument("--amplitude", type=float, default=30.0, help="sinusoid amplitude in degrees")

@@ -15,8 +15,9 @@ import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -90,7 +91,9 @@ def load_manifest(path) -> DatasetManifest:
         raise DatasetError(f"{path}: manifest file not found")
     try:
         payload = json.loads(path.read_text(encoding="utf-8-sig"))
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError:  # a ValueError too, but not one of the JSON's
+        raise
+    except ValueError as exc:  # also an integer past int()'s digit limit
         raise DatasetError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(payload, dict) or "entries" not in payload:
         raise DatasetError(f"{path}: manifest must be an object with an 'entries' list")
@@ -104,26 +107,21 @@ def load_manifest(path) -> DatasetManifest:
 
     name = payload.get("dataset_name", path.stem)
     check_value(name, "'dataset_name'")
+    convert = get_type_hints(ManifestEntry)  # str, or float for frame_rate
     entries = []
     for n, raw in enumerate(payload["entries"]):
         if not isinstance(raw, dict):
             raise DatasetError(f"{path}: entry {n} must be a JSON object, got {json.dumps(raw)}")
-        for field in fields(ManifestEntry):
-            check_value(raw.get(field.name, ""), f"entry {n}: {field.name!r}")
+        # a key the entry leaves out takes the field's default; a required one stays MISSING
+        given = {field.name: raw.get(field.name, field.default) for field in fields(ManifestEntry)}
+        for key, value in given.items():
+            check_value("" if value is MISSING else value, f"entry {n}: {key!r}")
+        missing = [key for key, value in given.items() if value is MISSING]
+        if missing:
+            raise DatasetError(f"{path}: entry {n} is missing required key {missing[0]!r}")
         try:
-            entries.append(
-                ManifestEntry(
-                    path=str(raw["path"]),
-                    class_label=str(raw["class_label"]),
-                    subject_id=str(raw["subject_id"]),
-                    action_id=str(raw["action_id"]),
-                    frame_rate=float(raw["frame_rate"]),
-                    angle_unit=str(raw.get("angle_unit", "deg")),
-                )
-            )
-        except KeyError as exc:
-            raise DatasetError(f"{path}: entry {n} is missing required key {exc}") from None
-        except ValueError as exc:
+            entries.append(ManifestEntry(**{key: convert[key](value) for key, value in given.items()}))
+        except (ValueError, OverflowError) as exc:  # a string rate, or an integer past float's range
             raise DatasetError(f"{path}: entry {n} is malformed ({exc})") from None
     try:
         return DatasetManifest(str(name), tuple(entries))
@@ -336,51 +334,45 @@ def butterworth_filter(actions, spec: FilterSpec = FilterSpec()) -> list[ActionM
     Each result equals ``scipy.signal.sosfiltfilt`` of that action alone,
     bit for bit.
 
-    The function works on its own list of the actions and keeps only their
-    metadata: each raw action is dropped once its chunk is buffered. A
-    caller that hands over the only reference, say as an iterator, holds the
-    pool once at the peak (the raw actions still to come and the filtered
-    copies), plus the buffer; a caller that keeps its sequence keeps it
-    intact, and holds the pool twice.
+    The function works on its own list of the actions: each raw action is
+    dropped once its chunk is buffered, and its filtered copy later takes its
+    place. A caller that hands over the only reference, say as an iterator,
+    holds the pool once at the peak (the raw actions still to come and the
+    filtered copies), plus the buffer; a caller that keeps its sequence keeps
+    it intact, and holds the pool twice.
     """
     actions = list(actions)
+    meta = [(a.frame_rate, a.class_label, a.subject_id, a.action_id) for a in actions]
+    pad = 3 * (spec.order + 1)
+    rows = [a.num_frames + 2 * min(pad, a.num_frames - 1) for a in actions]
+    columns = [a.num_joints for a in actions]
     # The design depends on the rate. A chunk runs every column for as many
     # frames as its longest action has, so lengths in a group stay within 2x.
     groups: dict[tuple[float, int], list[int]] = {}
     for i, key in enumerate([(a.frame_rate, a.num_frames.bit_length()) for a in actions]):
         groups.setdefault(key, []).append(i)
+    # every group is checked, and every chunk planned, before any is filtered
+    designs, plan = {}, []
     for (rate, _), members in groups.items():
-        nyquist = rate / 2.0
-        if not spec.cutoff_hz < nyquist:
+        if not spec.cutoff_hz < rate / 2.0:
             raise ValueError(
-                f"cutoff {spec.cutoff_hz} Hz must stay below the Nyquist frequency "
-                f"{nyquist} Hz of a {rate} Hz recording "
-                f"(action {actions[members[0]].action_id!r})"
+                f"cutoff {spec.cutoff_hz} Hz must stay below the Nyquist frequency {rate / 2.0} Hz "
+                f"of a {rate} Hz recording (action {actions[members[0]].action_id!r})"
             )
-    meta = [(a.frame_rate, a.class_label, a.subject_id, a.action_id) for a in actions]
-    pad = 3 * (spec.order + 1)
-    rows = [a.num_frames + 2 * min(pad, a.num_frames - 1) for a in actions]
-    columns = [a.num_joints for a in actions]
-    plan = [(rate, _chunks(members, rows, columns)) for (rate, _), members in groups.items()]
-    buf = np.empty(max(
-        (max(rows[i] for i in chunk) * sum(columns[i] for i in chunk)
-         for _, chunks in plan for chunk in chunks),
-        default=0,
-    ))
-    filtered: dict[int, ActionMatrix] = {}
-    for rate, chunks in plan:
-        sos = lowpass_sos(spec.order, spec.cutoff_hz, rate)
-        zi = sosfilt_zi(sos)[:, :, None]
-        for chunk in chunks:
-            signals = [actions[i].samples for i in chunk]
-            for i in chunk:
-                actions[i] = None
-            # each view into the buffer is copied out before the next chunk fills it
-            filtered.update(
-                (i, ActionMatrix(x, *meta[i]))
-                for i, x in zip(chunk, _sosfiltfilt(signals, sos, zi, pad, buf))
-            )
-    return [filtered[i] for i in range(len(meta))]
+        if rate not in designs:
+            sos = lowpass_sos(spec.order, spec.cutoff_hz, rate)
+            designs[rate] = (sos, sosfilt_zi(sos)[:, :, None])
+        plan += [(designs[rate], chunk) for chunk in _chunks(members, rows, columns)]
+    sizes = [max(rows[i] for i in chunk) * sum(columns[i] for i in chunk) for _, chunk in plan]
+    buf = np.empty(max(sizes, default=0))
+    for (sos, zi), chunk in plan:
+        signals = [actions[i].samples for i in chunk]
+        for i in chunk:
+            actions[i] = None
+        # each view into the buffer is copied out before the next chunk fills it
+        for i, x in zip(chunk, _sosfiltfilt(signals, sos, zi, pad, buf)):
+            actions[i] = ActionMatrix(x, *meta[i])
+    return actions
 
 
 def _chunks(members: list[int], rows: list[int], columns: list[int]) -> list[list[int]]:

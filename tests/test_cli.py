@@ -560,10 +560,14 @@ class TestExitCodes:
         (["noise", "--seed", 1, "--sigmas", "-1"], "--sigmas: noise standard deviations must be finite"),
         (["noise", "--seed", 1, "--metric", "csm", "--features", "var"], "features must be 'full'"),
         (["noise", "--seed", 1, "--filter-order", 0], "order must be at least 1, got 0"),
+        (["crossval", "--seed", -1], "argument --seed: must be a non-negative integer, got '-1'"),
+        (["sweep", "--seed", -1], "argument --seed: must be a non-negative integer, got '-1'"),
+        (["noise", "--seed", -1], "argument --seed: must be a non-negative integer, got '-1'"),
     ], ids=[
         "crossval-csm-features", "cross-subject-csm-features", "crossval-filter-order",
         "describe-filter-cutoff", "sweep-filter-cutoff", "sweep-jm", "sweep-metric", "sweep-features",
         "noise-repeated-sigmas", "noise-negative-sigma", "noise-csm-features", "noise-filter-order",
+        "crossval-negative-seed", "sweep-negative-seed", "noise-negative-seed",
     ])
     def test_flags_are_checked_before_the_manifest_is_read(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
@@ -572,6 +576,26 @@ class TestExitCodes:
         assert message in err
         assert "not found" not in err
         assert not out.exists()
+
+    def test_negative_seed_rejected_before_gen_synth_writes(self, tmp_path, capsys):
+        out = tmp_path / "synth"
+        assert run("gen-synth", "--classes", 2, "--per-class", 2, "--subjects", 1,
+                   "--seed", -1, "--out-dir", out) == 1
+        err = capsys.readouterr().err
+        assert "--seed" in err and "-1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("digits", [401, 5001], ids=["past-float-range", "past-int-digit-limit"])
+    def test_oversized_manifest_number_is_input_error(self, tmp_path, capsys, digits):
+        # 401 digits overflow float(); 5001 exceed the 4300 digits json parses into an int
+        manifest = tmp_path / "manifest.json"
+        rate = "1" + "0" * (digits - 1)
+        manifest.write_text(
+            '{"entries": [{"path": "a.csv", "class_label": "c", "subject_id": "s", '
+            f'"action_id": "a", "frame_rate": {rate}}}]}}'
+        )
+        assert run("describe", "--manifest", manifest, "--jm", 3, "--out", tmp_path / "desc") == 1
+        assert capsys.readouterr().err.startswith(f"error: {manifest}: ")
 
     @pytest.mark.parametrize("entries", [5, None, []])
     def test_malformed_entries_is_input_error(self, tmp_path, capsys, entries):

@@ -230,6 +230,19 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match=f"^{re.escape(expected)}$"):
             load_dataset(manifest)
 
+    def test_rate_past_float_range_is_malformed(self, tmp_path):
+        manifest = write_dataset(tmp_path, [("a.csv", "1,2\n3,4\n", {"frame_rate": 10**400})])
+        expected = f"{manifest}: entry 0 is malformed (int too large to convert to float)"
+        with pytest.raises(DatasetError, match=f"^{re.escape(expected)}$"):
+            load_manifest(manifest)
+
+    def test_integer_past_the_digit_limit_is_invalid_json(self, tmp_path):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, for more than 4300 digits
+        manifest = write_dataset(tmp_path, [("a.csv", "1,2\n3,4\n", {"frame_rate": 7})])
+        manifest.write_text(manifest.read_text().replace('"frame_rate": 7', '"frame_rate": 1' + "0" * 5000))
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(manifest))}: invalid JSON \\(.*4300"):
+            load_manifest(manifest)
+
     def test_numeric_manifest_values_keep_their_conversion(self, tmp_path):
         manifest = write_dataset(tmp_path, [("a.csv", "1,2\n3,4\n", {"class_label": 3, "frame_rate": 60})])
         entry = load_manifest(manifest).entries[0]
@@ -491,6 +504,15 @@ class TestButterworthFilter:
         ]
         with pytest.raises(ValueError, match=r"15\.0 Hz of a 30\.0 Hz recording \(action 'slow1'\)"):
             butterworth_filter(pool, FilterSpec(cutoff_hz=20.0))
+
+    def test_nyquist_is_checked_for_every_group_before_any_is_filtered(self, rng, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ingest, "_sosfiltfilt", lambda *args: calls.append(args) or [])
+        pool = [random_action(rng, frame_rate=120.0, action_id=f"fast{i}") for i in range(3)]
+        pool.append(random_action(rng, frame_rate=30.0, action_id="slow"))
+        with pytest.raises(ValueError, match=r"of a 30\.0 Hz recording \(action 'slow'\)"):
+            butterworth_filter(pool, FilterSpec(cutoff_hz=20.0))
+        assert calls == []
 
     def test_linearity(self, rng):
         a = random_action(rng, joints=3, frames=150, frame_rate=60.0)
