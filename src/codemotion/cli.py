@@ -80,6 +80,18 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _at_least(low: int):
+    """An integer flag's type, with the lower bound that needs no data: ``--folds`` 2, ``--jm`` 1."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer of at least {low}, got {text!r}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type of a value int() rejects: "invalid int value"
+    return parse
+
+
 def _kfold(args):
     """The split of ``--folds`` and ``--seed``: a stratified k-fold plan of the loaded actions."""
     return lambda actions: SplitPlan.stratified_kfold([a.class_label for a in actions], args.folds, args.seed)
@@ -95,6 +107,8 @@ def _list_flag(text: str, flag: str, parse=str) -> list:
     for item in filter(None, map(str.strip, text.split(","))):
         try:
             value = parse(item)
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"{flag}: {exc}") from None
         except ValueError:
             raise ValueError(f"{flag}: invalid value {item!r}") from None
         if value in values:
@@ -240,7 +254,7 @@ def cmd_cross_subject(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    jm_values = _list_flag(args.jm, "--jm", int)
+    jm_values = _list_flag(args.jm, "--jm", _at_least(1))
     metrics = _list_flag(args.metric, "--metric")
     features = _list_flag(args.features, "--features")
     specs = []
@@ -322,14 +336,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     def dataset_args(p, seed=False, metric=False, folds=False):
         p.add_argument("--manifest", required=True, metavar="PATH", help="dataset manifest JSON")
-        p.add_argument("--jm", type=int, default=20, metavar="N",
+        p.add_argument("--jm", type=_at_least(1), default=20, metavar="N",
                        help="number of most informative joints (default 20)")
         _add_filter_flags(p)
         if metric:
             p.add_argument("--metric", default="csm", choices=[m.value for m in Metric])
             p.add_argument("--features", default="full", choices=[f.value for f in FeatureSet])
         if folds:
-            p.add_argument("--folds", type=int, default=10, metavar="K")
+            p.add_argument("--folds", type=_at_least(2), default=10, metavar="K")
         if seed:
             p.add_argument("--seed", type=_seed, required=True, metavar="N",
                            help="required: all randomness is explicit")
@@ -361,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated metrics")
     p.add_argument("--features", default="var,var-vel,full", metavar="LIST",
                    help="comma-separated feature sets for the baseline metrics")
-    p.add_argument("--folds", type=int, default=10, metavar="K")
+    p.add_argument("--folds", type=_at_least(2), default=10, metavar="K")
     p.add_argument("--seed", type=_seed, required=True, metavar="N")
     _add_filter_flags(p)
     p.add_argument("--out", required=True, metavar="PATH")

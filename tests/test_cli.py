@@ -563,11 +563,19 @@ class TestExitCodes:
         (["crossval", "--seed", -1], "argument --seed: must be a non-negative integer, got '-1'"),
         (["sweep", "--seed", -1], "argument --seed: must be a non-negative integer, got '-1'"),
         (["noise", "--seed", -1], "argument --seed: must be a non-negative integer, got '-1'"),
+        (["crossval", "--seed", 1, "--folds", 1], "argument --folds: must be an integer of at least 2, got '1'"),
+        (["sweep", "--seed", 1, "--folds", 0], "argument --folds: must be an integer of at least 2, got '0'"),
+        (["noise", "--seed", 1, "--folds", -3], "argument --folds: must be an integer of at least 2, got '-3'"),
+        (["describe", "--jm", 0], "argument --jm: must be an integer of at least 1, got '0'"),
+        (["crossval", "--seed", 1, "--jm", -2], "argument --jm: must be an integer of at least 1, got '-2'"),
+        (["sweep", "--seed", 1, "--jm", "5,0"], "error: --jm: must be an integer of at least 1, got '0'"),
     ], ids=[
         "crossval-csm-features", "cross-subject-csm-features", "crossval-filter-order",
         "describe-filter-cutoff", "sweep-filter-cutoff", "sweep-jm", "sweep-metric", "sweep-features",
         "noise-repeated-sigmas", "noise-negative-sigma", "noise-csm-features", "noise-filter-order",
         "crossval-negative-seed", "sweep-negative-seed", "noise-negative-seed",
+        "crossval-one-fold", "sweep-zero-folds", "noise-negative-folds",
+        "describe-zero-jm", "crossval-negative-jm", "sweep-zero-jm",
     ])
     def test_flags_are_checked_before_the_manifest_is_read(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
@@ -669,6 +677,14 @@ class TestExitCodes:
                    "--out", tmp_path / "cv.json")
         assert code == 1
         assert f"{csv_path}, line 1: not UTF-8 (byte 0xff)" in capsys.readouterr().err
+
+    def test_non_utf8_manifest_is_named(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(b'\xff{"entries": []}')
+        out = tmp_path / "desc"
+        assert run("describe", "--manifest", manifest, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {manifest}, line 1: not UTF-8 (byte 0xff)\n"
+        assert not out.exists()
 
     def test_unknown_flag_is_input_error(self, capsys):
         assert run("describe", "--bogus") == 1

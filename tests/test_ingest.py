@@ -305,6 +305,30 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
             load_dataset(manifest)
 
+    @pytest.mark.parametrize("data, where", [
+        (b'\xff{"entries": []}', "line 1: not UTF-8 (byte 0xff)"),
+        (b'{\n  "dataset_name":\n  "caf\xe9",\n  "entries": []\n}\n', "line 3: not UTF-8 (byte 0xe9)"),
+        (codecs.BOM_UTF8 + b'\xc3{"entries": []}', "line 1: not UTF-8 (byte 0xc3)"),
+    ], ids=["first-byte", "third-line", "after-bom"])
+    def test_non_utf8_manifest_names_manifest_and_line(self, tmp_path, data, where):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(data)
+        message = f"{manifest}, {where}"
+        for load in (load_manifest, load_dataset):
+            with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+                load(manifest)
+
+    def test_file_under_a_file_is_not_found(self, tmp_path, cpus):
+        # a path through a regular file fails as a missing file does, pooled and in-process
+        files = [(f"a{i}.csv", "1,2\n3,4\n", {"action_id": f"a{i}"}) for i in range(6)]
+        manifest = write_dataset(tmp_path, files)
+        payload = json.loads(manifest.read_text())
+        payload["entries"][4]["path"] = "a0.csv/a4.csv"
+        manifest.write_text(json.dumps(payload))
+        message = f"{tmp_path / 'a0.csv' / 'a4.csv'}: file not found (action 'a4')"
+        with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+            load_dataset(manifest)
+
 
 def spy_pools(monkeypatch):
     """The worker count of every process pool ``ingest`` starts from now on."""
