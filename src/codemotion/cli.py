@@ -10,7 +10,7 @@ import math
 import sys
 from pathlib import Path
 
-from .descriptor import DegenerateActionError, stacked_length
+from .descriptor import DegenerateActionError, _layout, stacked_length
 from .evaluation import SplitPlan, _describe, _pool, evaluate, mij_sweep, noise_sweep
 from .ingest import (
     DatasetError,
@@ -183,15 +183,8 @@ def cmd_describe(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for action_id, desc, name in zip(ids, descriptors, names):
-        payload = {
-            "action_id": action_id,
-            "jm": desc.jm,
-            "mij": desc.mij.tolist(),
-            "var_norm": desc.var_norm.tolist(),
-            "vmax_norm": desc.vmax_norm.tolist(),
-            "vmin_norm": desc.vmin_norm.tolist(),
-            "corr": desc.corr.tolist(),
-        }
+        payload = {"action_id": action_id, "jm": desc.jm}
+        payload.update((name, getattr(desc, name).tolist()) for name in _layout(desc.jm))
         (out_dir / name).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     summary = {
         "dataset": Path(args.manifest).stem,

@@ -108,44 +108,34 @@ class CodeDescriptor:
         jm = int(self.jm)
         if jm < 1:
             raise ValueError(f"jm must be at least 1, got {jm}")
-        mij = _frozen_array(self.mij, dtype=np.intp)
-        if mij.shape != (jm,):
-            raise ValueError(f"mij must hold {jm} indices, got shape {mij.shape}")
-        if (mij < 0).any() or len(set(mij.tolist())) != jm:
-            raise ValueError("mij indices must be distinct and non-negative")
-        object.__setattr__(self, "mij", mij)
         object.__setattr__(self, "jm", jm)
-        lengths = {
-            "var_norm": jm,
-            "vmax_norm": jm,
-            "vmin_norm": jm,
-            "corr": jm * (jm - 1) // 2,
-        }
-        for name, length in lengths.items():
-            arr = _frozen_array(getattr(self, name))
+        for name, length in _layout(jm).items():
+            arr = _frozen_array(getattr(self, name), np.intp if name == "mij" else np.float64)
             if arr.shape != (length,):
                 raise ValueError(f"{name} must have length {length}, got shape {arr.shape}")
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains NaN or infinite values")
             object.__setattr__(self, name, arr)
+        if (self.mij < 0).any() or len(set(self.mij.tolist())) != jm:
+            raise ValueError("mij indices must be distinct and non-negative")
         if (np.abs(self.corr) > 1.0).any():
             raise ValueError("corr values must lie in [-1, 1]")
-
-    @property
-    def stacked_length(self) -> int:
-        return stacked_length(self.jm)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CodeDescriptor):
             return NotImplemented
-        return (
-            self.jm == other.jm
-            and np.array_equal(self.mij, other.mij)
-            and np.array_equal(self.var_norm, other.var_norm)
-            and np.array_equal(self.vmax_norm, other.vmax_norm)
-            and np.array_equal(self.vmin_norm, other.vmin_norm)
-            and np.array_equal(self.corr, other.corr)
+        return self.jm == other.jm and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _layout(self.jm)
         )
+
+
+def _layout(jm: int) -> dict[str, int]:
+    """The stacked vector's fields in order, each with its length at ``jm``.
+
+    The baseline feature sets are its prefixes: ``var`` the first field,
+    ``var-vel`` the first three and ``full`` the first four.
+    """
+    return {"var_norm": jm, "vmax_norm": jm, "vmin_norm": jm, "corr": jm * (jm - 1) // 2, "mij": jm}
 
 
 def stacked_length(jm: int) -> int:
@@ -246,19 +236,21 @@ def compute_descriptor(action: ActionMatrix, jm: int) -> CodeDescriptor:
     Steps: rank joints by trajectory variance, keep the top ``jm``,
     normalize their variances, add normalized extreme velocities of the
     kept joints, then their pairwise correlations. Deterministic: the
-    same action always produces a bit-identical descriptor.
+    same action always produces a bit-identical descriptor. Any
+    ``ValueError`` on the way, such as a variance that overflows, is raised
+    again with the action's id in front.
     """
     try:
         mij, var_norm = rank_mij(joint_variances(action), jm)
-    except DegenerateActionError as exc:
-        raise DegenerateActionError(f"action {action.action_id!r}: {exc}") from None
-    # Angular velocities in deg/s: central differences inside, one-sided at both
-    # ends. np.gradient differentiates each column on its own, so the MIJ
-    # columns alone suffice.
-    velocities = np.gradient(action.samples[:, mij], axis=0) * action.frame_rate
-    vmax_norm, vmin_norm = extreme_velocities(velocities)
-    corr = pairwise_correlation(action, mij)
-    return CodeDescriptor(mij, var_norm, vmax_norm, vmin_norm, corr, jm)
+        # Angular velocities in deg/s: central differences inside, one-sided at
+        # both ends. np.gradient differentiates each column on its own, so the
+        # MIJ columns alone suffice.
+        velocities = np.gradient(action.samples[:, mij], axis=0) * action.frame_rate
+        vmax_norm, vmin_norm = extreme_velocities(velocities)
+        corr = pairwise_correlation(action, mij)
+        return CodeDescriptor(mij, var_norm, vmax_norm, vmin_norm, corr, jm)
+    except ValueError as exc:  # DegenerateActionError keeps its type
+        raise type(exc)(f"action {action.action_id!r}: {exc}") from None
 
 
 def stack_descriptor(descriptor: CodeDescriptor) -> np.ndarray:
@@ -267,15 +259,8 @@ def stack_descriptor(descriptor: CodeDescriptor) -> np.ndarray:
     Concatenation order: var_norm, vmax_norm, vmin_norm, corr, then the
     mij indices cast to floats.
     """
-    return np.concatenate(
-        [
-            descriptor.var_norm,
-            descriptor.vmax_norm,
-            descriptor.vmin_norm,
-            descriptor.corr,
-            descriptor.mij.astype(np.float64),
-        ]
-    )
+    fields = [getattr(descriptor, name) for name in _layout(descriptor.jm)]
+    return np.concatenate(fields, dtype=np.float64)
 
 
 def unstack_descriptor(stacked, jm: int) -> CodeDescriptor:
@@ -284,10 +269,7 @@ def unstack_descriptor(stacked, jm: int) -> CodeDescriptor:
     expected = stacked_length(jm)
     if flat.shape != (expected,):
         raise ValueError(f"stacked vector for jm={jm} must have length {expected}, got shape {flat.shape}")
-    n_pairs = jm * (jm - 1) // 2
-    var_norm = flat[:jm]
-    vmax_norm = flat[jm : 2 * jm]
-    vmin_norm = flat[2 * jm : 3 * jm]
-    corr = flat[3 * jm : 3 * jm + n_pairs]
-    mij = np.rint(flat[3 * jm + n_pairs :]).astype(np.intp)
-    return CodeDescriptor(mij, var_norm, vmax_norm, vmin_norm, corr, jm)
+    layout = _layout(jm)
+    fields = dict(zip(layout, np.split(flat, np.cumsum(list(layout.values()))[:-1])))
+    fields["mij"] = np.rint(fields["mij"]).astype(np.intp)
+    return CodeDescriptor(**fields, jm=jm)

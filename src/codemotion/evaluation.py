@@ -331,8 +331,9 @@ def noise_sweep(
 
     Noise lands on raw angles and the low-pass filter of ``filter_spec``,
     if any, runs afterwards, so the injection-before-filtering ordering
-    holds by construction. Each noisy pool reaches the filter as a
-    generator, which lets it free every noisy action once it is buffered.
+    holds by construction. Each noisy pool reaches the filter, or without
+    one the descriptor step, as a generator, which lets it free every noisy
+    action once it is buffered or described.
     By default only test items are corrupted; ``corrupt_train`` extends the
     corruption to the training pool. The per-item noise streams derive
     from (seed, sigma index, item index) alone.
@@ -340,7 +341,7 @@ def noise_sweep(
     dataset, labels = _pool(dataset, [jm], plan)
 
     def prep(actions):
-        return list(actions) if filter_spec is None else butterworth_filter(actions, filter_spec)
+        return actions if filter_spec is None else butterworth_filter(actions, filter_spec)
 
     # with corrupt_train the clean pool is never scored, so it is not described
     clean = None if corrupt_train else _describe(prep(dataset), jm)[0]

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .descriptor import CodeDescriptor, _rank_pairs
+from .descriptor import CodeDescriptor, _layout, _rank_pairs
 
 __all__ = [
     "Metric",
@@ -83,15 +83,13 @@ def csm(a: CodeDescriptor, b: CodeDescriptor) -> float:
     return float(similarity_matrix([a], [b], MetricSpec(Metric.CSM))[0, 0])
 
 
-_FEATURE_SLICES = {
-    FeatureSet.VARIANCE: ("var_norm",),
-    FeatureSet.VARIANCE_VELOCITY: ("var_norm", "vmax_norm", "vmin_norm"),
-    FeatureSet.FULL: ("var_norm", "vmax_norm", "vmin_norm", "corr"),
-}
+# How many leading fields of the stacked descriptor each feature set reads
+_FEATURE_SLICES = {FeatureSet.VARIANCE: 1, FeatureSet.VARIANCE_VELOCITY: 3, FeatureSet.FULL: 4}
 
 
 def _feature_vector(descriptor: CodeDescriptor, features: FeatureSet) -> np.ndarray:
-    return np.concatenate([getattr(descriptor, name) for name in _FEATURE_SLICES[features]])
+    names = list(_layout(descriptor.jm))[: _FEATURE_SLICES[features]]
+    return np.concatenate([getattr(descriptor, name) for name in names])
 
 
 def baseline_distance(a: CodeDescriptor, b: CodeDescriptor, spec: MetricSpec) -> float:

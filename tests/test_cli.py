@@ -255,6 +255,21 @@ class TestCrossval:
         err = capsys.readouterr().err
         assert "degenerate action" in err and "'flat_take'" in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the variance overflows
+    def test_overflowing_cell_is_named_in_the_error(self, synth_dir, tmp_path, capsys):
+        def enlarge(entries):
+            path = tmp_path / "data" / entries[3]["path"]
+            rows = path.read_text().splitlines()
+            rows[3] = "1e200," + rows[3].split(",", 1)[1]
+            path.write_text("\n".join(rows) + "\n")
+            entries[3]["action_id"] = "huge_take"
+
+        manifest = copy_dataset(synth_dir, tmp_path / "data", enlarge)
+        code = run("crossval", "--manifest", manifest, "--jm", 3, "--folds", 4, "--seed", 3,
+                   "--out", tmp_path / "report.json")
+        assert code == 1
+        assert "error: action 'huge_take': var_norm contains NaN or infinite" in capsys.readouterr().err
+
     def test_no_filter_equals_evaluate_on_the_raw_pool(self, noisy_dir, tmp_path):
         manifest = noisy_dir / "manifest.json"
         reports = {}

@@ -239,7 +239,7 @@ class TestComputeDescriptor:
         for jm, expected in [(20, 270), (30, 555)]:
             d = compute_descriptor(action, jm)
             assert stack_descriptor(d).shape == (expected,)
-            assert d.stacked_length == expected
+            assert stacked_length(d.jm) == expected
 
     def test_single_moving_joint(self):
         samples = np.zeros((10, 3))
@@ -270,6 +270,14 @@ class TestComputeDescriptor:
     def test_propagates_degenerate(self):
         action = ActionMatrix(np.full((6, 4), 3.0), frame_rate=10.0, action_id="flat_07")
         with pytest.raises(DegenerateActionError, match="'flat_07': degenerate action"):
+            compute_descriptor(action, 2)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the variance overflows
+    def test_overflowing_variance_names_the_action(self, rng):
+        samples = random_action(rng, joints=4, frames=10).samples.copy()
+        samples[3, 0] = 1e200
+        action = ActionMatrix(samples, 30.0, action_id="huge_01")
+        with pytest.raises(ValueError, match="^action 'huge_01': var_norm contains NaN or infinite"):
             compute_descriptor(action, 2)
 
     def test_memory_independent_of_frames(self, rng):

@@ -603,20 +603,34 @@ class TestNoiseSweep:
         assert both[0].accuracy_mean == again[0].accuracy_mean
         assert len(clean) == len(both) == 1
 
-    @pytest.mark.parametrize("corrupt_train", [False, True], ids=["test-only", "corrupt-train"])
-    def test_noisy_pool_is_freed_as_it_is_buffered(self, rng, corrupt_train):
-        # the filter gets each noisy pool as a generator, so it holds the pool
-        # once at the peak, plus its buffer, like a pool handed over to it
-        count, frames, joints = 24, 400, 20
+    POOL = (24, 400, 20)  # actions, frames, joints
+
+    def traced_sweep_peak(self, rng, filter_spec, corrupt_train):
+        """The traced peak of a two-sigma noise sweep over a random pool of shape ``POOL``."""
+        count, frames, joints = self.POOL
         actions = [ActionMatrix(20.0 * rng.standard_normal((frames, joints)), 120.0, f"c{i % 3}",
                                 "s", f"a{i}") for i in range(count)]
         plan = SplitPlan.stratified_kfold([a.class_label for a in actions], k=3, seed=0)
 
         def sweep():
             return noise_sweep(actions, [0.0, 2.0], jm=joints, spec=CSM, plan=plan, seed=1,
-                               filter_spec=FilterSpec(), corrupt_train=corrupt_train)
+                               filter_spec=filter_spec, corrupt_train=corrupt_train)
 
         expected = sweep()  # first-call imports and caches stay out of the measured peak
         reports, peak = traced_peak(sweep)
         assert [r.accuracy_mean for r in reports] == [r.accuracy_mean for r in expected]
-        assert peak < pool_held_once(count, frames, joints)
+        return peak
+
+    @pytest.mark.parametrize("corrupt_train", [False, True], ids=["test-only", "corrupt-train"])
+    def test_noisy_pool_is_freed_as_it_is_buffered(self, rng, corrupt_train):
+        # the filter gets each noisy pool as a generator, so it holds the pool
+        # once at the peak, plus its buffer, like a pool handed over to it
+        peak = self.traced_sweep_peak(rng, FilterSpec(), corrupt_train)
+        assert peak < pool_held_once(*self.POOL)
+
+    @pytest.mark.parametrize("corrupt_train", [False, True], ids=["test-only", "corrupt-train"])
+    def test_unfiltered_noisy_pool_is_freed_as_it_is_described(self, rng, corrupt_train):
+        # without a filter each noisy pool is described from its generator, so
+        # no noisy pool is ever held whole
+        peak = self.traced_sweep_peak(rng, None, corrupt_train)
+        assert peak < np.prod(self.POOL) * 8  # one pool's sample bytes

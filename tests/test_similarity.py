@@ -10,6 +10,7 @@ from codemotion import (
     compute_descriptor,
     csm,
     similarity_matrix,
+    stack_descriptor,
 )
 from codemotion import similarity
 from oracles import csm_score, euclidean_distance, manhattan_distance
@@ -30,6 +31,19 @@ def assert_same_bits(actual, expected):
     actual, expected = np.ascontiguousarray(actual), np.ascontiguousarray(expected)
     assert actual.shape == expected.shape
     np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+class TestFeatureSets:
+    @pytest.mark.parametrize("jm", [1, 2, 5])
+    @pytest.mark.parametrize("features", list(FeatureSet), ids=lambda f: f.value)
+    def test_feature_vector_is_a_prefix_of_the_stacked_descriptor(self, rng, features, jm):
+        d = compute_descriptor(random_action(rng, joints=6, frames=20), jm)
+        length = {
+            FeatureSet.VARIANCE: jm,
+            FeatureSet.VARIANCE_VELOCITY: 3 * jm,
+            FeatureSet.FULL: 3 * jm + jm * (jm - 1) // 2,
+        }[features]
+        assert_same_bits(similarity._feature_vector(d, features), stack_descriptor(d)[:length])
 
 
 class TestMetricSpec:
