@@ -38,7 +38,6 @@ from .similarity import (
     FeatureSet,
     Metric,
     MetricSpec,
-    baseline_distance,
     csm,
     similarity_matrix,
 )

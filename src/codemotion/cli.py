@@ -8,12 +8,13 @@ import itertools
 import json
 import math
 import sys
+import warnings
+from dataclasses import fields
 from pathlib import Path
 
-from .descriptor import DegenerateActionError, _layout, stacked_length
+from .descriptor import _layout, stacked_length
 from .evaluation import SplitPlan, _describe, _pool, evaluate, mij_sweep, noise_sweep
 from .ingest import (
-    DatasetError,
     FilterSpec,
     SyntheticConfig,
     butterworth_filter,
@@ -38,10 +39,11 @@ def _fmt(value: float) -> str:
 
 
 def _add_filter_flags(parser) -> None:
-    parser.add_argument("--filter-cutoff", type=float, default=10.0, metavar="HZ",
-                        help="low-pass cutoff frequency (default 10)")
-    parser.add_argument("--filter-order", type=int, default=2, metavar="N",
-                        help="Butterworth order (default 2)")
+    spec = FilterSpec()
+    parser.add_argument("--filter-cutoff", type=float, default=spec.cutoff_hz, metavar="HZ",
+                        help="low-pass cutoff frequency (default %(default)g)")
+    parser.add_argument("--filter-order", type=int, default=spec.order, metavar="N",
+                        help="Butterworth order (default %(default)g)")
     parser.add_argument("--no-filter", action="store_true",
                         help="skip the low-pass preprocessing step")
 
@@ -304,20 +306,9 @@ def cmd_noise(args) -> int:
 
 
 def cmd_gen_synth(args) -> int:
-    config = SyntheticConfig(
-        classes=args.classes,
-        per_class=args.per_class,
-        subjects=args.subjects,
-        joints=args.joints,
-        frames=args.frames,
-        frame_rate=args.frame_rate,
-        seed=args.seed,
-        active_per_class=args.active_joints,
-        amplitude_deg=args.amplitude,
-        noise_deg=args.noise_std,
-        disjoint_classes=args.disjoint,
-    )
-    actions, manifest = generate_synthetic(config)
+    # each flag's dest is its field; a flag left unset is absent, so the field keeps its default
+    given = {f.name: getattr(args, f.name) for f in fields(SyntheticConfig) if hasattr(args, f.name)}
+    actions, manifest = generate_synthetic(SyntheticConfig(**given))
     manifest_path = save_dataset(actions, manifest, args.out_dir)
     print(f"wrote {len(actions)} actions and {manifest_path}")
     return 0
@@ -364,9 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True, metavar="PATH")
     p.add_argument("--jm", default="5,10,20", metavar="LIST",
                    help="comma-separated MIJ counts (default 5,10,20)")
-    p.add_argument("--metric", default="csm,euclidean,manhattan", metavar="LIST",
+    p.add_argument("--metric", default=",".join(m.value for m in Metric), metavar="LIST",
                    help="comma-separated metrics")
-    p.add_argument("--features", default="var,var-vel,full", metavar="LIST",
+    p.add_argument("--features", default=",".join(f.value for f in FeatureSet), metavar="LIST",
                    help="comma-separated feature sets for the baseline metrics")
     p.add_argument("--folds", type=_at_least(2), default=10, metavar="K")
     p.add_argument("--seed", type=_seed, required=True, metavar="N")
@@ -383,24 +374,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="PATH")
     p.set_defaults(func=cmd_noise)
 
-    p = sub.add_parser("gen-synth", help="generate a synthetic coordinated-motion dataset")
-    p.add_argument("--classes", type=int, required=True)
-    p.add_argument("--per-class", type=int, required=True)
-    p.add_argument("--subjects", type=int, required=True)
-    p.add_argument("--joints", type=int, default=20)
-    p.add_argument("--frames", type=int, default=240)
-    p.add_argument("--frame-rate", type=float, default=30.0)
-    p.add_argument("--seed", type=_seed, required=True)
-    p.add_argument("--active-joints", type=int, default=None,
+    # No defaults here: SyntheticConfig supplies each one for a flag left unset.
+    p = sub.add_parser("gen-synth", help="generate a synthetic coordinated-motion dataset",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--classes", type=int, required=True, metavar="N")
+    p.add_argument("--per-class", type=int, required=True, metavar="N")
+    p.add_argument("--subjects", type=int, required=True, metavar="N")
+    p.add_argument("--joints", type=int, metavar="N")
+    p.add_argument("--frames", type=int, metavar="N")
+    p.add_argument("--frame-rate", type=float, metavar="HZ")
+    p.add_argument("--seed", type=_seed, required=True, metavar="N")
+    p.add_argument("--active-joints", dest="active_per_class", type=int, metavar="N",
                    help="active joints per class (default joints // 5, at least 2)")
-    p.add_argument("--amplitude", type=float, default=30.0, help="sinusoid amplitude in degrees")
-    p.add_argument("--noise-std", type=float, default=0.5, help="sample noise in degrees")
-    p.add_argument("--disjoint", action="store_true",
+    p.add_argument("--amplitude", dest="amplitude_deg", type=float, metavar="DEG",
+                   help="sinusoid amplitude in degrees")
+    p.add_argument("--noise-std", dest="noise_deg", type=float, metavar="DEG", help="sample noise in degrees")
+    p.add_argument("--disjoint", dest="disjoint_classes", action="store_true",
                    help="give every class its own block of active joints")
     p.add_argument("--out-dir", required=True, metavar="DIR")
     p.set_defaults(func=cmd_gen_synth)
 
     return parser
+
+
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    """A warning as one line on stderr, without the source location and line."""
+    return f"warning: {message}\n"
 
 
 def main(argv=None) -> int:
@@ -409,14 +408,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    format_warning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         return args.func(args)
-    except (DatasetError, DegenerateActionError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # DatasetError and DegenerateActionError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - anything else is an internal failure
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = format_warning
 
 
 if __name__ == "__main__":

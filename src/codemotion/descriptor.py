@@ -237,20 +237,23 @@ def compute_descriptor(action: ActionMatrix, jm: int) -> CodeDescriptor:
     normalize their variances, add normalized extreme velocities of the
     kept joints, then their pairwise correlations. Deterministic: the
     same action always produces a bit-identical descriptor. Any
-    ``ValueError`` on the way, such as a variance that overflows, is raised
-    again with the action's id in front.
+    ``ValueError`` on the way is raised again with the action's id in
+    front, and so is a floating-point overflow, invalid value or division
+    by zero, such as a variance that overflows, as a ``ValueError``.
     """
     try:
-        mij, var_norm = rank_mij(joint_variances(action), jm)
-        # Angular velocities in deg/s: central differences inside, one-sided at
-        # both ends. np.gradient differentiates each column on its own, so the
-        # MIJ columns alone suffice.
-        velocities = np.gradient(action.samples[:, mij], axis=0) * action.frame_rate
-        vmax_norm, vmin_norm = extreme_velocities(velocities)
-        corr = pairwise_correlation(action, mij)
-        return CodeDescriptor(mij, var_norm, vmax_norm, vmin_norm, corr, jm)
-    except ValueError as exc:  # DegenerateActionError keeps its type
-        raise type(exc)(f"action {action.action_id!r}: {exc}") from None
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            mij, var_norm = rank_mij(joint_variances(action), jm)
+            # Angular velocities in deg/s: central differences inside, one-sided at
+            # both ends. np.gradient differentiates each column on its own, so the
+            # MIJ columns alone suffice.
+            velocities = np.gradient(action.samples[:, mij], axis=0) * action.frame_rate
+            vmax_norm, vmin_norm = extreme_velocities(velocities)
+            corr = pairwise_correlation(action, mij)
+            return CodeDescriptor(mij, var_norm, vmax_norm, vmin_norm, corr, jm)
+    except (ValueError, FloatingPointError) as exc:  # DegenerateActionError keeps its type
+        kind = type(exc) if isinstance(exc, ValueError) else ValueError
+        raise kind(f"action {action.action_id!r}: {exc}") from None
 
 
 def stack_descriptor(descriptor: CodeDescriptor) -> np.ndarray:

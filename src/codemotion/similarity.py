@@ -22,7 +22,6 @@ __all__ = [
     "FeatureSet",
     "MetricSpec",
     "csm",
-    "baseline_distance",
     "similarity_matrix",
 ]
 
@@ -92,17 +91,6 @@ def _feature_vector(descriptor: CodeDescriptor, features: FeatureSet) -> np.ndar
     return np.concatenate([getattr(descriptor, name) for name in names])
 
 
-def baseline_distance(a: CodeDescriptor, b: CodeDescriptor, spec: MetricSpec) -> float:
-    """L1 or L2 distance over the selected feature slices, aligned by MIJ rank.
-
-    The mij index slots never enter the distance; joint indices are labels,
-    not coordinates.
-    """
-    if spec.kind is Metric.CSM:
-        raise ValueError("baseline_distance handles Euclidean/Manhattan only; use csm() for CSM")
-    return float(similarity_matrix([a], [b], spec)[0, 0])
-
-
 def _check_uniform_jm(descriptors) -> int | None:
     jm = None
     for d in descriptors:
@@ -117,10 +105,10 @@ def similarity_matrix(queries, references, spec: MetricSpec) -> np.ndarray:
     """Dense score (CSM) or distance (baselines) matrix, queries by references.
 
     Rows are independent. Every cell equals the one-cell call of the same
-    pair, :func:`csm` or :func:`baseline_distance`, bit for bit. When the
-    references are the queries' own descriptor objects, only the upper
-    triangle is computed and mirrored, which is exact: every measure here
-    gives ``S(Q, R) == S(R, Q).T`` bit for bit.
+    pair, ``similarity_matrix([a], [b], spec)[0, 0]`` (for CSM, :func:`csm`),
+    bit for bit. When the references are the queries' own descriptor
+    objects, only the upper triangle is computed and mirrored, which is
+    exact: every measure here gives ``S(Q, R) == S(R, Q).T`` bit for bit.
     """
     queries = list(queries)
     references = list(references)
@@ -188,8 +176,10 @@ def _sum_terms(terms: np.ndarray) -> np.ndarray:
 def _baseline_terms(queries, references, spec: MetricSpec, self_pair: bool):
     """Per feature, ``|q - r|`` (Manhattan) or ``(q - r)**2`` (Euclidean).
 
-    Summed in feature order from 0.0, the order of scipy's cdist, so the
-    distances equal its bit for bit.
+    The features are aligned by MIJ rank, and the mij index slots never
+    enter them: joint indices are labels, not coordinates. Summed in
+    feature order from 0.0, the order of scipy's cdist, so the distances
+    equal its bit for bit.
     """
     # feature-major, so a block's differences come out C-contiguous
     feats_q = np.stack([_feature_vector(d, spec.features) for d in queries], axis=1)

@@ -272,12 +272,12 @@ class TestComputeDescriptor:
         with pytest.raises(DegenerateActionError, match="'flat_07': degenerate action"):
             compute_descriptor(action, 2)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the variance overflows
     def test_overflowing_variance_names_the_action(self, rng):
         samples = random_action(rng, joints=4, frames=10).samples.copy()
         samples[3, 0] = 1e200
         action = ActionMatrix(samples, 30.0, action_id="huge_01")
-        with pytest.raises(ValueError, match="^action 'huge_01': var_norm contains NaN or infinite"):
+        # the ufunc's name differs across numpy versions
+        with pytest.raises(ValueError, match="^action 'huge_01': overflow encountered in "):
             compute_descriptor(action, 2)
 
     def test_memory_independent_of_frames(self, rng):

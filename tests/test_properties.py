@@ -10,7 +10,6 @@ from codemotion import (
     CodeDescriptor,
     Metric,
     MetricSpec,
-    baseline_distance,
     compute_descriptor,
     csm,
     joint_variances,
@@ -208,4 +207,4 @@ class TestSimilarityProperties:
         matrix = similarity_matrix(descs, descs, spec)
         for i, a in enumerate(descs):
             for j, b in enumerate(descs):
-                assert matrix[i, j] == pytest.approx(baseline_distance(a, b, spec), abs=1e-10)
+                assert matrix[i, j] == pytest.approx(similarity_matrix([a], [b], spec)[0, 0], abs=1e-10)

@@ -6,7 +6,6 @@ from codemotion import (
     FeatureSet,
     Metric,
     MetricSpec,
-    baseline_distance,
     compute_descriptor,
     csm,
     similarity_matrix,
@@ -108,20 +107,20 @@ class TestBaselineDistance:
         a = random_descriptors(rng, 1)[0]
         for kind in (Metric.EUCLIDEAN, Metric.MANHATTAN):
             for features in FeatureSet:
-                assert baseline_distance(a, a, MetricSpec(kind, features)) == 0.0
+                assert similarity_matrix([a], [a], MetricSpec(kind, features))[0, 0] == 0.0
 
     def test_hand_example_var_vel_manhattan(self):
         # identical except vmax [1] vs [-1]: |1 - (-1)| = 2
         a = make_descriptor([0], [1.0], [1.0], [1.0], [])
         b = make_descriptor([0], [1.0], [-1.0], [1.0], [])
         spec = MetricSpec(Metric.MANHATTAN, FeatureSet.VARIANCE_VELOCITY)
-        assert baseline_distance(a, b, spec) == 2.0
+        assert similarity_matrix([a], [b], spec)[0, 0] == 2.0
 
     def test_matches_loop_oracles(self, rng):
         a, b = random_descriptors(rng, 2, jm=4, joints=7)
         for features in FeatureSet:
-            man = baseline_distance(a, b, MetricSpec(Metric.MANHATTAN, features))
-            euc = baseline_distance(a, b, MetricSpec(Metric.EUCLIDEAN, features))
+            man = similarity_matrix([a], [b], MetricSpec(Metric.MANHATTAN, features))[0, 0]
+            euc = similarity_matrix([a], [b], MetricSpec(Metric.EUCLIDEAN, features))[0, 0]
             assert man == pytest.approx(manhattan_distance(a, b, features.value), abs=1e-12)
             assert euc == pytest.approx(euclidean_distance(a, b, features.value), abs=1e-12)
 
@@ -130,22 +129,17 @@ class TestBaselineDistance:
             a, b, c = random_descriptors(rng, 3, jm=3, joints=6)
             for kind in (Metric.EUCLIDEAN, Metric.MANHATTAN):
                 spec = MetricSpec(kind, FeatureSet.FULL)
-                ab = baseline_distance(a, b, spec)
-                ac = baseline_distance(a, c, spec)
-                cb = baseline_distance(c, b, spec)
+                ab = similarity_matrix([a], [b], spec)[0, 0]
+                ac = similarity_matrix([a], [c], spec)[0, 0]
+                cb = similarity_matrix([c], [b], spec)[0, 0]
                 assert ab <= ac + cb + 1e-12
-
-    def test_rejects_csm_kind(self, rng):
-        a, b = random_descriptors(rng, 2)
-        with pytest.raises(ValueError, match="csm"):
-            baseline_distance(a, b, MetricSpec(Metric.CSM, FeatureSet.FULL))
 
     def test_mij_slots_do_not_affect_distance(self):
         # same feature values on different joints: distance ignores the labels
         a = make_descriptor([0, 1], [0.6, 0.4], [1.0, 0.0], [-1.0, 0.0], [0.2])
         b = make_descriptor([5, 7], [0.6, 0.4], [1.0, 0.0], [-1.0, 0.0], [0.2])
         for kind in (Metric.EUCLIDEAN, Metric.MANHATTAN):
-            assert baseline_distance(a, b, MetricSpec(kind, FeatureSet.FULL)) == 0.0
+            assert similarity_matrix([a], [b], MetricSpec(kind, FeatureSet.FULL))[0, 0] == 0.0
 
 
 class TestSimilarityMatrix:
@@ -227,7 +221,7 @@ class TestSimilarityMatrix:
                     if spec.kind is Metric.CSM:
                         expected = csm(descs[q], descs[r])
                     else:
-                        expected = baseline_distance(descs[q], descs[r], spec)
+                        expected = similarity_matrix([descs[q]], [descs[r]], spec)[0, 0]
                     assert matrix[q, r] == expected
 
     def test_mixed_jm_rejected(self, rng):
