@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
-import json
 import math
 import sys
 import warnings
@@ -17,6 +16,7 @@ from .evaluation import SplitPlan, _describe, _pool, evaluate, mij_sweep, noise_
 from .ingest import (
     FilterSpec,
     SyntheticConfig,
+    _write_json,
     butterworth_filter,
     generate_synthetic,
     load_dataset,
@@ -153,10 +153,7 @@ def _write_report(args, report, protocol) -> None:
         ]
         _write_csv(out, ["metric", "value"], rows)
     else:
-        payload = report.to_dict()
-        payload["dataset"] = Path(args.manifest).stem
-        payload["protocol"] = protocol
-        out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        _write_json(out, {**report.to_dict(), "dataset": Path(args.manifest).stem, "protocol": protocol})
     _write_confusion_csv(out.with_suffix(out.suffix + ".confusion.csv"), report)
 
 
@@ -187,17 +184,14 @@ def cmd_describe(args) -> int:
     for action_id, desc, name in zip(ids, descriptors, names):
         payload = {"action_id": action_id, "jm": desc.jm}
         payload.update((name, getattr(desc, name).tolist()) for name in _layout(desc.jm))
-        (out_dir / name).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    summary = {
+        _write_json(out_dir / name, payload)
+    _write_json(out_dir / "summary.json", {
         "dataset": Path(args.manifest).stem,
         "actions": len(ids),
         "jm": args.jm,
         "stacked_length": stacked_length(args.jm),
         "descriptor_time_s": elapsed,
-    }
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    })
     print(
         f"wrote {len(ids)} descriptors (stacked length {stacked_length(args.jm)}) "
         f"to {out_dir} in {elapsed:.3f}s"
@@ -208,13 +202,14 @@ def cmd_describe(args) -> int:
 def _evaluate_split(args, split, protocol):
     """Load, run 1-NN over the plan that ``split`` builds from the actions, write the report.
 
-    ``protocol`` holds the report keys of the split's own kind; the keys
-    every split shares are added here.
+    ``protocol`` holds the report keys of the split's own kind; the plan's
+    ``kind`` and the keys every split shares are added here.
     """
     spec = _metric_spec(args)
     actions, plan = _hand_over(args, split)
     report = evaluate(actions, args.jm, spec, plan)
     protocol.update(
+        kind=plan.kind,
         jm=args.jm,
         metric=args.metric,
         features=args.features,
@@ -228,7 +223,7 @@ def cmd_crossval(args) -> int:
     report = _evaluate_split(
         args,
         _kfold(args),
-        {"kind": "stratified-kfold", "folds": args.folds, "seed": args.seed},
+        {"folds": args.folds, "seed": args.seed},
     )
     print(
         f"accuracy {report.accuracy_mean:.4f} +/- {report.accuracy_std:.4f} "
@@ -242,7 +237,7 @@ def cmd_cross_subject(args) -> int:
     report = _evaluate_split(
         args,
         lambda actions: SplitPlan.cross_subject([a.subject_id for a in actions], train_subjects),
-        {"kind": "cross-subject", "train_subjects": train_subjects},
+        {"train_subjects": train_subjects},
     )
     print(f"cross-subject accuracy {report.accuracy:.4f} (jm={args.jm}, {args.metric})")
     return 0

@@ -139,8 +139,8 @@ def _layout(jm: int) -> dict[str, int]:
 
 
 def stacked_length(jm: int) -> int:
-    """Flat descriptor size for a given MIJ count: jm * (jm + 7) / 2."""
-    return jm * (jm + 7) // 2
+    """Flat descriptor size for a given MIJ count: jm * (jm + 7) / 2, the sum of ``_layout``."""
+    return sum(_layout(jm).values())
 
 
 def joint_variances(action: ActionMatrix) -> np.ndarray:

@@ -310,6 +310,8 @@ def inject_agwn(action: ActionMatrix, sigma_deg: float, seed) -> ActionMatrix:
     """
     if sigma_deg < 0:
         raise ValueError(f"sigma_deg must be non-negative, got {sigma_deg}")
+    if not sigma_deg < np.inf:  # inf or NaN
+        raise ValueError(f"sigma_deg must be finite, got {sigma_deg}")
     if sigma_deg == 0:
         return action.with_samples(action.samples)
     rng = np.random.default_rng(seed)

@@ -80,9 +80,10 @@ class DatasetManifest:
                     f"{ANGLE_UNITS}, got {entry.angle_unit!r}"
                 )
 
-    def to_json(self, path) -> None:
-        payload = {"dataset_name": self.dataset_name, "entries": [asdict(e) for e in self.entries]}
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+def _write_json(path, payload) -> None:
+    """Every JSON file's one style: UTF-8, two-space indent, sorted keys, a final newline."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def load_manifest(path) -> DatasetManifest:
@@ -306,8 +307,10 @@ class FilterSpec:
     order: int = 2
 
     def __post_init__(self) -> None:
-        if not self.cutoff_hz > 0:
+        if self.cutoff_hz <= 0:
             raise ValueError(f"cutoff_hz must be positive, got {self.cutoff_hz!r}")
+        if not self.cutoff_hz < math.inf:  # inf or NaN
+            raise ValueError(f"cutoff_hz must be finite, got {self.cutoff_hz!r}")
         order = self.order
         whole = isinstance(order, numbers.Integral) or (isinstance(order, float) and order.is_integer())
         if isinstance(order, bool) or not whole:
@@ -497,6 +500,10 @@ class SyntheticConfig:
             raise ValueError("need at least 2 frames")
         if not 0 < self.frame_rate < math.inf:
             raise ValueError(f"frame_rate must be positive and finite, got {self.frame_rate!r}")
+        if not 0 <= self.noise_deg < math.inf:
+            raise ValueError(f"noise_deg must be finite and non-negative, got {self.noise_deg!r}")
+        if not math.isfinite(self.amplitude_deg):
+            raise ValueError(f"amplitude_deg must be finite, got {self.amplitude_deg!r}")
         if self.active_per_class is not None and self.active_per_class < 2:
             raise ValueError("active_per_class must be at least 2")
         n_active = self.num_active
@@ -606,5 +613,5 @@ def save_dataset(actions, manifest: DatasetManifest, out_dir) -> Path:
     tasks = [(out_dir / entry.path, by_id[entry.action_id].samples) for entry in entries]
     with _forked(_write, tasks) as written:
         list(written)  # raises the first failing entry's error
-    DatasetManifest(manifest.dataset_name, tuple(entries)).to_json(manifest_path)
+    _write_json(manifest_path, {"dataset_name": manifest.dataset_name, "entries": list(map(asdict, entries))})
     return manifest_path

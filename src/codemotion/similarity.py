@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .descriptor import CodeDescriptor, _layout, _rank_pairs
+from .descriptor import CodeDescriptor, _layout, _rank_pairs, stack_descriptor
 
 __all__ = [
     "Metric",
@@ -86,19 +86,11 @@ def csm(a: CodeDescriptor, b: CodeDescriptor) -> float:
 _FEATURE_SLICES = {FeatureSet.VARIANCE: 1, FeatureSet.VARIANCE_VELOCITY: 3, FeatureSet.FULL: 4}
 
 
-def _feature_vector(descriptor: CodeDescriptor, features: FeatureSet) -> np.ndarray:
-    names = list(_layout(descriptor.jm))[: _FEATURE_SLICES[features]]
-    return np.concatenate([getattr(descriptor, name) for name in names])
-
-
-def _check_uniform_jm(descriptors) -> int | None:
-    jm = None
-    for d in descriptors:
-        if jm is None:
-            jm = d.jm
-        elif d.jm != jm:
-            raise ValueError(f"descriptors built with different jm ({jm} vs {d.jm}) are not comparable")
-    return jm
+def _check_uniform_jm(descriptors) -> None:
+    jms = [d.jm for d in descriptors]
+    for jm in jms:
+        if jm != jms[0]:
+            raise ValueError(f"descriptors built with different jm ({jms[0]} vs {jm}) are not comparable")
 
 
 def similarity_matrix(queries, references, spec: MetricSpec) -> np.ndarray:
@@ -176,16 +168,17 @@ def _sum_terms(terms: np.ndarray) -> np.ndarray:
 def _baseline_terms(queries, references, spec: MetricSpec, self_pair: bool):
     """Per feature, ``|q - r|`` (Manhattan) or ``(q - r)**2`` (Euclidean).
 
-    The features are aligned by MIJ rank, and the mij index slots never
-    enter them: joint indices are labels, not coordinates. Summed in
+    A feature set's features are the leading ``n`` numbers of
+    ``stack_descriptor``, the fields of the layout it reads. They are
+    aligned by MIJ rank, and the mij index slots, the layout's last field,
+    never enter them: joint indices are labels, not coordinates. Summed in
     feature order from 0.0, the order of scipy's cdist, so the distances
     equal its bit for bit.
     """
+    n = sum(list(_layout(queries[0].jm).values())[: _FEATURE_SLICES[spec.features]])
     # feature-major, so a block's differences come out C-contiguous
-    feats_q = np.stack([_feature_vector(d, spec.features) for d in queries], axis=1)
-    feats_r = feats_q if self_pair else np.stack(
-        [_feature_vector(d, spec.features) for d in references], axis=1
-    )
+    feats_q = np.stack([stack_descriptor(d)[:n] for d in queries], axis=1)
+    feats_r = feats_q if self_pair else np.stack([stack_descriptor(d)[:n] for d in references], axis=1)
 
     def terms(rows, cols):
         diff = feats_q[:, rows, None] - feats_r[:, None, cols]

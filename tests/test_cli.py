@@ -8,7 +8,6 @@ import sys
 import weakref
 from dataclasses import MISSING, fields
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -488,6 +487,40 @@ class TestNoise:
         assert not out.exists()
 
 
+class TestReportFiles:
+    def test_every_json_file_has_the_one_style(self, tmp_path):
+        data = tmp_path / "data"
+        assert run("gen-synth", "--classes", 2, "--per-class", 2, "--subjects", 2, "--joints", 6,
+                   "--frames", 40, "--seed", 2, "--out-dir", data) == 0
+        manifest = data / "manifest.json"
+        assert run("describe", "--manifest", manifest, "--jm", 3, "--out", tmp_path / "descriptors") == 0
+        assert run("crossval", "--manifest", manifest, "--jm", 3, "--folds", 2, "--seed", 1,
+                   "--out", tmp_path / "report.json") == 0
+        written = sorted(tmp_path.rglob("*.json"))
+        assert len(written) == 1 + (8 + 1) + 1  # manifest, descriptors and summary, report
+        for path in written:
+            text = path.read_bytes().decode("utf-8")
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path
+
+    @pytest.mark.parametrize("argv, kind", [
+        (["crossval", "--folds", 4, "--seed", 3], "stratified-kfold"),
+        (["cross-subject", "--train-subjects", "subject00"], "cross-subject"),
+    ], ids=["crossval", "cross-subject"])
+    def test_report_carries_the_plans_kind(self, synth_dir, tmp_path, monkeypatch, argv, kind):
+        plans = []
+        real = cli.evaluate
+
+        def recording(actions, jm, spec, plan):
+            plans.append(plan)
+            return real(actions, jm, spec, plan)
+
+        monkeypatch.setattr(cli, "evaluate", recording)
+        out = tmp_path / "report.json"
+        assert run(*argv, "--manifest", synth_dir / "manifest.json", "--jm", 3, "--out", out) == 0
+        assert [plan.kind for plan in plans] == [kind]
+        assert json.loads(out.read_text())["protocol"]["kind"] == kind
+
+
 class TestLoadActions:
     def test_loaded_pool_is_handed_to_the_filter(self, tmp_path, monkeypatch):
         # Parsed in this process, so tracemalloc sees every array. Keeping the
@@ -555,8 +588,7 @@ class TestHandOver:
         assert live == [0]
 
     def test_describe_writes_from_ids_and_descriptors(self, tmp_path, monkeypatch, manifest, pool):
-        monkeypatch.setattr(cli, "json", SimpleNamespace(dumps=json.dumps))
-        live = live_at_first_call(monkeypatch, cli.json, "dumps", pool)
+        live = live_at_first_call(monkeypatch, cli, "_write_json", pool)
         assert run("describe", "--manifest", manifest, "--jm", 4, "--out", tmp_path / "out") == 0
         assert len(pool) == 24
         assert live == [0]
@@ -618,6 +650,8 @@ class TestExitCodes:
         (["crossval", "--seed", 1, "--filter-order", 0], "order must be at least 1, got 0"),
         (["describe", "--filter-cutoff", 0], "cutoff_hz must be positive, got 0.0"),
         (["sweep", "--seed", 1, "--filter-cutoff", -1], "cutoff_hz must be positive, got -1.0"),
+        (["crossval", "--seed", 1, "--filter-cutoff", "inf"], "cutoff_hz must be finite, got inf"),
+        (["noise", "--seed", 1, "--filter-cutoff", "nan"], "cutoff_hz must be finite, got nan"),
         (["sweep", "--seed", 1, "--jm", "2,2"], "--jm: value '2' repeats an earlier value"),
         (["sweep", "--seed", 1, "--metric", "csm,cosine"], "unknown metric 'cosine'"),
         (["sweep", "--seed", 1, "--features", "var,all"], "unknown feature set 'all'"),
@@ -636,7 +670,7 @@ class TestExitCodes:
         (["sweep", "--seed", 1, "--jm", "5,0"], "error: --jm: must be an integer of at least 1, got '0'"),
     ], ids=[
         "crossval-csm-features", "cross-subject-csm-features", "crossval-filter-order",
-        "describe-filter-cutoff", "sweep-filter-cutoff", "sweep-jm", "sweep-metric", "sweep-features",
+        "describe-filter-cutoff", "sweep-filter-cutoff", "crossval-infinite-cutoff", "noise-nan-cutoff", "sweep-jm", "sweep-metric", "sweep-features",
         "noise-repeated-sigmas", "noise-negative-sigma", "noise-csm-features", "noise-filter-order",
         "crossval-negative-seed", "sweep-negative-seed", "noise-negative-seed",
         "crossval-one-fold", "sweep-zero-folds", "noise-negative-folds",
@@ -656,6 +690,19 @@ class TestExitCodes:
                    "--seed", -1, "--out-dir", out) == 1
         err = capsys.readouterr().err
         assert "--seed" in err and "-1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, field", [
+        (["--noise-std", -1], "noise_deg"),
+        (["--noise-std", "nan"], "noise_deg"),
+        (["--amplitude", "inf"], "amplitude_deg"),
+        (["--amplitude", "nan"], "amplitude_deg"),
+    ], ids=["negative-noise", "nan-noise", "infinite-amplitude", "nan-amplitude"])
+    def test_bad_float_field_rejected_before_gen_synth_writes(self, tmp_path, capsys, argv, field):
+        out = tmp_path / "synth"
+        assert run("gen-synth", "--classes", 2, "--per-class", 2, "--subjects", 1,
+                   "--seed", 1, *argv, "--out-dir", out) == 1
+        assert f"error: {field} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("digits", [401, 5001], ids=["past-float-range", "past-int-digit-limit"])

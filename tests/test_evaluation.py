@@ -514,6 +514,11 @@ class TestInjectAgwn:
         with pytest.raises(ValueError):
             inject_agwn(random_action(rng), -1.0, seed=0)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_sigma_is_named(self, rng, sigma):
+        with pytest.raises(ValueError, match=f"sigma_deg must be finite, got {sigma}"):
+            inject_agwn(random_action(rng), sigma, seed=0)
+
     def test_deterministic_under_seed(self, rng):
         action = random_action(rng, joints=4, frames=20)
         n1 = inject_agwn(action, 2.0, seed=42)

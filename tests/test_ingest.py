@@ -596,6 +596,16 @@ class TestButterworthFilter:
         with pytest.raises(ValueError):
             FilterSpec(order=0)
 
+    @pytest.mark.parametrize("cutoff", [math.inf, math.nan])
+    def test_non_finite_cutoff_rejected(self, cutoff):
+        with pytest.raises(ValueError, match=f"cutoff_hz must be finite, got {cutoff!r}"):
+            FilterSpec(cutoff_hz=cutoff)
+
+    @pytest.mark.parametrize("cutoff", [0.0, -1.0, -math.inf])
+    def test_cutoff_at_or_below_zero_is_not_positive(self, cutoff):
+        with pytest.raises(ValueError, match=f"cutoff_hz must be positive, got {cutoff!r}"):
+            FilterSpec(cutoff_hz=cutoff)
+
     @pytest.mark.parametrize("order", [2.5, True, False, "2", None])
     def test_non_integral_or_bool_order_rejected(self, order):
         with pytest.raises(ValueError, match=f"order must be a whole number, got {order!r}"):
@@ -684,6 +694,20 @@ class TestGenerateSynthetic:
     def test_frame_rate_validated(self, rate):
         with pytest.raises(ValueError, match="frame_rate must be positive and finite"):
             SyntheticConfig(classes=1, per_class=1, subjects=1, frame_rate=rate)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("noise_deg", -1.0, "noise_deg must be finite and non-negative, got -1.0"),
+        ("noise_deg", math.nan, "noise_deg must be finite and non-negative, got nan"),
+        ("noise_deg", math.inf, "noise_deg must be finite and non-negative, got inf"),
+        ("amplitude_deg", math.nan, "amplitude_deg must be finite, got nan"),
+        ("amplitude_deg", -math.inf, "amplitude_deg must be finite, got -inf"),
+    ])
+    def test_float_fields_validated(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            SyntheticConfig(classes=1, per_class=1, subjects=1, **{field: value})
+
+    def test_zero_noise_and_negative_amplitude_accepted(self):
+        SyntheticConfig(classes=1, per_class=1, subjects=1, noise_deg=0.0, amplitude_deg=-5.0)
 
     def test_counts_validated(self):
         with pytest.raises(ValueError):

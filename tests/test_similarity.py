@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -35,14 +37,20 @@ def assert_same_bits(actual, expected):
 class TestFeatureSets:
     @pytest.mark.parametrize("jm", [1, 2, 5])
     @pytest.mark.parametrize("features", list(FeatureSet), ids=lambda f: f.value)
-    def test_feature_vector_is_a_prefix_of_the_stacked_descriptor(self, rng, features, jm):
-        d = compute_descriptor(random_action(rng, joints=6, frames=20), jm)
+    @pytest.mark.parametrize("kind", [Metric.EUCLIDEAN, Metric.MANHATTAN], ids=lambda m: m.value)
+    def test_baselines_read_a_prefix_of_the_stacked_descriptor(self, rng, kind, features, jm):
+        a, b = (compute_descriptor(random_action(rng, joints=6, frames=20), jm) for _ in range(2))
         length = {
             FeatureSet.VARIANCE: jm,
             FeatureSet.VARIANCE_VELOCITY: 3 * jm,
             FeatureSet.FULL: 3 * jm + jm * (jm - 1) // 2,
         }[features]
-        assert_same_bits(similarity._feature_vector(d, features), stack_descriptor(d)[:length])
+        total = 0.0
+        for x, y in zip(stack_descriptor(a)[:length].tolist(), stack_descriptor(b)[:length].tolist()):
+            total += abs(x - y) if kind is Metric.MANHATTAN else (x - y) * (x - y)
+        expected = math.sqrt(total) if kind is Metric.EUCLIDEAN else total
+        cell = similarity_matrix([a], [b], MetricSpec(kind, features))[0, 0]
+        assert_same_bits(np.array([cell]), np.array([expected]))
 
 
 class TestMetricSpec:
