@@ -11,6 +11,11 @@ import warnings
 from dataclasses import fields
 from pathlib import Path
 
+# perfbench/tracer.py replaces load_dataset, butterworth_filter, evaluate and
+# mij_sweep on this module, and binds evaluate's ``plan`` and mij_sweep's
+# ``jm_values``, ``specs`` and ``plan`` by name. So the commands call them as
+# module-level names, looked up at call time, with those parameter names.
+# ROADMAP item 2, which deletes the tracer, lifts this constraint.
 from .descriptor import _layout, stacked_length
 from .evaluation import SplitPlan, _describe, _pool, evaluate, mij_sweep, noise_sweep
 from .ingest import (
@@ -49,30 +54,26 @@ def _add_filter_flags(parser) -> None:
 
 
 def _filter_spec(args) -> FilterSpec | None:
-    if args.no_filter:
-        return None
-    return FilterSpec(cutoff_hz=args.filter_cutoff, order=args.filter_order)
+    """The filter flags' spec, checked even under ``--no-filter``, which then makes it None."""
+    spec = FilterSpec(cutoff_hz=args.filter_cutoff, order=args.filter_order)
+    return None if args.no_filter else spec
 
 
-def _load_actions(args):
+def _load_actions(args, split=None):
+    """The filtered pool as an iterator, and the plan that ``split`` builds from it (None without one).
+
+    The caller takes the iterator, so once it has described the actions it
+    holds the only reference and frees them before scoring; a list would stay
+    alive in this module's frames for the whole call.
+    """
+    spec = _filter_spec(args)
     # An iterator, not the list, so that this frame holds no reference once
     # the filter has taken the actions, and the filter can free each raw action
     # as it buffers it. Python 3.10 keeps a list passed as an argument alive
     # in the caller for the whole call; an exhausted iterator lets go of it.
-    spec = _filter_spec(args)
     actions = iter(load_dataset(args.manifest))
-    return list(actions) if spec is None else butterworth_filter(actions, spec)
-
-
-def _hand_over(args, split):
-    """The loaded actions as an iterator, and the plan that ``split`` builds from them.
-
-    The evaluation takes the iterator, so once it has described the actions
-    it holds the only reference and frees them before scoring; a list would
-    stay alive in this module's frames for the whole call.
-    """
-    actions = _load_actions(args)
-    return iter(actions), split(actions)
+    actions = list(actions) if spec is None else butterworth_filter(actions, spec)
+    return iter(actions), split(actions) if split else None
 
 
 def _seed(text: str) -> int:
@@ -99,26 +100,34 @@ def _kfold(args):
     return lambda actions: SplitPlan.stratified_kfold([a.class_label for a in actions], args.folds, args.seed)
 
 
-def _metric_spec(args) -> MetricSpec:
-    return MetricSpec.parse(args.metric, args.features)
+def _sigma(text: str) -> float:
+    """One ``--sigmas`` value: a noise standard deviation in degrees."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"noise standard deviations must be finite and non-negative, got {text!r}")
+    return value
 
 
-def _list_flag(text: str, flag: str, parse=str) -> list:
-    """The parsed values of a comma-separated list flag, none of them repeated, at least one."""
-    values = []
-    for item in filter(None, map(str.strip, text.split(","))):
-        try:
-            value = parse(item)
-        except argparse.ArgumentTypeError as exc:
-            raise ValueError(f"{flag}: {exc}") from None
-        except ValueError:
-            raise ValueError(f"{flag}: invalid value {item!r}") from None
-        if value in values:
-            raise ValueError(f"{flag}: value {item!r} repeats an earlier value")
-        values.append(value)
-    if not values:
-        raise ValueError(f"{flag}: the list is empty")
-    return values
+def _list_of(parse=str):
+    """A comma-separated list flag's type: blanks dropped, at least one value, none repeated once parsed.
+
+    A value that ``parse`` rejects fails the flag with ``parse``'s own message.
+    """
+    def parse_list(text: str) -> list:
+        values = []
+        for item in filter(None, map(str.strip, text.split(","))):
+            try:
+                value = parse(item)
+            except ValueError as exc:  # argparse.ArgumentTypeError passes through as it is
+                raise argparse.ArgumentTypeError(str(exc)) from None
+            if value in values:
+                raise argparse.ArgumentTypeError(f"value {item!r} repeats an earlier value")
+            values.append(value)
+        if not values:
+            raise argparse.ArgumentTypeError("the list is empty")
+        return values
+
+    return parse_list
 
 
 def _write_csv(path, header, rows) -> None:
@@ -162,7 +171,7 @@ def _sanitize(name: str) -> str:
 
 
 def cmd_describe(args) -> int:
-    actions, _ = _pool(_load_actions(args), [args.jm])
+    actions, _ = _pool(_load_actions(args)[0], [args.jm])
     ids = [a.action_id for a in actions]
     names = [f"{_sanitize(action_id)}.json" for action_id in ids]
     owners = {}
@@ -205,8 +214,8 @@ def _evaluate_split(args, split, protocol):
     ``protocol`` holds the report keys of the split's own kind; the plan's
     ``kind`` and the keys every split shares are added here.
     """
-    spec = _metric_spec(args)
-    actions, plan = _hand_over(args, split)
+    spec = MetricSpec.parse(args.metric, args.features)
+    actions, plan = _load_actions(args, split)
     report = evaluate(actions, args.jm, spec, plan)
     protocol.update(
         kind=plan.kind,
@@ -233,29 +242,24 @@ def cmd_crossval(args) -> int:
 
 
 def cmd_cross_subject(args) -> int:
-    train_subjects = _list_flag(args.train_subjects, "--train-subjects")
     report = _evaluate_split(
         args,
-        lambda actions: SplitPlan.cross_subject([a.subject_id for a in actions], train_subjects),
-        {"train_subjects": train_subjects},
+        lambda actions: SplitPlan.cross_subject([a.subject_id for a in actions], args.train_subjects),
+        {"train_subjects": args.train_subjects},
     )
     print(f"cross-subject accuracy {report.accuracy:.4f} (jm={args.jm}, {args.metric})")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    jm_values = _list_flag(args.jm, "--jm", _at_least(1))
-    metrics = _list_flag(args.metric, "--metric")
-    features = _list_flag(args.features, "--features")
-    specs = []
-    for metric in metrics:
-        if metric == Metric.CSM.value:
-            specs.append(MetricSpec.parse(metric, "full"))
-        else:
-            specs.extend(MetricSpec.parse(metric, f) for f in features)
-    actions, plan = _hand_over(args, _kfold(args))
-    reports = mij_sweep(actions, jm_values, specs, plan)
-    cells = list(zip(itertools.product(jm_values, specs), reports))
+    specs = [
+        MetricSpec(metric, features)
+        for metric in args.metric
+        for features in ([FeatureSet.FULL] if metric is Metric.CSM else args.features)
+    ]
+    actions, plan = _load_actions(args, _kfold(args))
+    reports = mij_sweep(actions, args.jm, specs, plan)
+    cells = list(zip(itertools.product(args.jm, specs), reports))
     rows = [
         (
             jm,
@@ -270,7 +274,7 @@ def cmd_sweep(args) -> int:
     _write_csv(args.out, ["jm", "metric", "features", "accuracy_mean", "accuracy_std", "descriptor_len"], rows)
     # Soft comparison, reported but never asserted: CSM tends to win at small jm.
     by_key = {(jm, spec.kind.value): report.accuracy_mean for (jm, spec), report in cells}
-    for jm in jm_values:
+    for jm in args.jm:
         csm_acc = by_key.get((jm, "csm"))
         man_acc = by_key.get((jm, "manhattan"))
         if csm_acc is not None and man_acc is not None:
@@ -280,11 +284,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_noise(args) -> int:
-    spec = _metric_spec(args)
+    spec = MetricSpec.parse(args.metric, args.features)
     filter_spec = _filter_spec(args)
-    sigmas = sorted(_list_flag(args.sigmas, "--sigmas", float))
-    if not all(math.isfinite(s) and s >= 0 for s in sigmas):
-        raise ValueError("--sigmas: noise standard deviations must be finite and non-negative")
+    sigmas = sorted(args.sigmas)
     actions = load_dataset(args.manifest)  # raw: noise must land before filtering
     plan = _kfold(args)(actions)
     reports = noise_sweep(
@@ -340,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cross-subject", help="single train/test split by performer")
     dataset_args(p, metric=True)
-    p.add_argument("--train-subjects", required=True, metavar="LIST",
+    p.add_argument("--train-subjects", type=_list_of(), required=True, metavar="LIST",
                    help="comma-separated subject ids used for training")
     p.add_argument("--out", required=True, metavar="PATH")
     p.add_argument("--format", default="json", choices=["json", "csv"])
@@ -348,11 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="accuracy over MIJ counts and metrics")
     p.add_argument("--manifest", required=True, metavar="PATH")
-    p.add_argument("--jm", default="5,10,20", metavar="LIST",
+    p.add_argument("--jm", type=_list_of(_at_least(1)), default="5,10,20", metavar="LIST",
                    help="comma-separated MIJ counts (default 5,10,20)")
-    p.add_argument("--metric", default=",".join(m.value for m in Metric), metavar="LIST",
-                   help="comma-separated metrics")
-    p.add_argument("--features", default=",".join(f.value for f in FeatureSet), metavar="LIST",
+    # MetricSpec.parse names the values it accepts when it rejects one.
+    p.add_argument("--metric", type=_list_of(lambda text: MetricSpec.parse(text).kind),
+                   default=",".join(m.value for m in Metric), metavar="LIST", help="comma-separated metrics")
+    p.add_argument("--features", type=_list_of(lambda text: MetricSpec.parse("euclidean", text).features),
+                   default=",".join(f.value for f in FeatureSet), metavar="LIST",
                    help="comma-separated feature sets for the baseline metrics")
     p.add_argument("--folds", type=_at_least(2), default=10, metavar="K")
     p.add_argument("--seed", type=_seed, required=True, metavar="N")
@@ -362,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("noise", help="accuracy under additive Gaussian angle noise")
     dataset_args(p, seed=True, metric=True, folds=True)
-    p.add_argument("--sigmas", default="0,1,2,3,4,5", metavar="LIST",
+    p.add_argument("--sigmas", type=_list_of(_sigma), default="0,1,2,3,4,5", metavar="LIST",
                    help="comma-separated noise standard deviations in degrees")
     p.add_argument("--corrupt-train", action="store_true",
                    help="corrupt training items too (default: test items only)")

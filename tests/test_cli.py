@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import runpy
 import shutil
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from conftest import live_at_first_call, pool_held_once, traced_peak
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+PERFBENCH = SRC.parent / "perfbench"
 
 
 def run(*args):
@@ -138,8 +140,18 @@ class TestParserDefaults:
 
     def test_sweep_defaults_are_every_metric_and_feature_set(self):
         args = build_parser().parse_args(["sweep", "--manifest", "m.json", "--seed", "1", "--out", "s.csv"])
-        assert args.metric == "csm,euclidean,manhattan" == ",".join(m.value for m in Metric)
-        assert args.features == "var,var-vel,full" == ",".join(f.value for f in FeatureSet)
+        assert args.metric == [Metric.CSM, Metric.EUCLIDEAN, Metric.MANHATTAN] == list(Metric)
+        assert args.features == [FeatureSet.VARIANCE, FeatureSet.VARIANCE_VELOCITY, FeatureSet.FULL] == list(FeatureSet)
+
+    def test_list_flags_arrive_typed(self):
+        args = build_parser().parse_args(["sweep", "--manifest", "m.json", "--seed", "1", "--out", "s.csv"])
+        assert args.jm == [5, 10, 20]
+        args = build_parser().parse_args(["noise", "--manifest", "m.json", "--seed", "1", "--out", "n.csv"])
+        assert args.sigmas == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        args = build_parser().parse_args(
+            ["cross-subject", "--manifest", "m.json", "--train-subjects", " s1, ,s0 ", "--out", "r.json"]
+        )
+        assert args.train_subjects == ["s1", "s0"]
 
 
 class TestDescribe:
@@ -425,7 +437,7 @@ class TestSweep:
             command = ["sweep", "--folds", 4, "--seed", 3]
         code = run(*command, "--manifest", synth_dir / "manifest.json", flag, value, "--out", out)
         assert code == 1
-        assert f"error: {flag}: " in capsys.readouterr().err
+        assert f"error: argument {flag}: " in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -483,7 +495,7 @@ class TestNoise:
         code = run("noise", "--manifest", synth_dir / "manifest.json",
                    "--jm", 3, "--folds", 4, "--seed", 3, "--sigmas", value, "--out", out)
         assert code == 1
-        assert "error: --sigmas: " in capsys.readouterr().err
+        assert "error: argument --sigmas: " in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -542,8 +554,9 @@ class TestLoadActions:
         args = build_parser().parse_args(
             ["describe", "--manifest", str(manifest), "--out", str(tmp_path / "out")]
         )
-        actions, peak = traced_peak(lambda: _load_actions(args))
+        (actions, plan), peak = traced_peak(lambda: _load_actions(args))
         assert peak < pool_held_once(24, 400, 20)
+        assert plan is None
         expected = butterworth_filter(load_dataset(manifest), FilterSpec())
         assert [a.samples.tobytes() for a in actions] == [a.samples.tobytes() for a in expected]
 
@@ -637,6 +650,42 @@ class TestScipyFreeRuntime:
                 assert want.read_bytes() == got.read_bytes(), rel
 
 
+class TestBenchmarkSeams:
+    """The benchmark's tracer still sees every layer of each workload's command.
+
+    ``perfbench/tracer.py`` replaces module-level names of the CLI and the
+    evaluation layer; a command that stopped calling them through those names
+    would lose spans here. Each workload's own arguments run on a small set.
+    """
+
+    @pytest.fixture(scope="class")
+    def bench(self):
+        return runpy.run_path(str(PERFBENCH / "run.py"), run_name="perfbench_run")
+
+    @pytest.fixture(scope="class")
+    def manifest(self, tmp_path_factory):
+        # 20 joints for --jm 20, four subjects for the three training ones
+        out = tmp_path_factory.mktemp("bench")
+        assert run("gen-synth", "--classes", 2, "--per-class", 2, "--subjects", 4, "--joints", 20,
+                   "--frames", 60, "--seed", 1, "--out-dir", out) == 0
+        return out / "manifest.json"
+
+    @pytest.mark.parametrize("workload", ["ingest-kfold", "csm-xsubject", "sweep"])
+    def test_traced_run_records_every_layer(self, bench, manifest, tmp_path, workload):
+        work = bench["WORKLOADS"][workload]
+        out = tmp_path / bench["output_name"](work)
+        seed = ["--seed", 1] if work.seeded else []
+        trace_path = tmp_path / "trace.json"
+        python(PERFBENCH / "tracer.py", trace_path, *work.args, "--manifest", manifest, *seed, "--out", out)
+        trace = json.loads(trace_path.read_text())
+        assert trace["exit_code"] == 0
+        names = {span[2] for span in trace["spans"]}
+        assert [name for name in bench["EXPECTED_SPANS"] if name not in names] == []
+        kinds = {span[8]["kind"] for span in trace["spans"] if span[2] == "similarity"}
+        assert set(work.kinds) <= kinds
+        assert trace["oracle"]["mismatches"] == []
+
+
 class TestExitCodes:
     def test_missing_manifest_is_input_error(self, tmp_path, capsys):
         code = run("describe", "--manifest", tmp_path / "nope.json",
@@ -667,7 +716,11 @@ class TestExitCodes:
         (["noise", "--seed", 1, "--folds", -3], "argument --folds: must be an integer of at least 2, got '-3'"),
         (["describe", "--jm", 0], "argument --jm: must be an integer of at least 1, got '0'"),
         (["crossval", "--seed", 1, "--jm", -2], "argument --jm: must be an integer of at least 1, got '-2'"),
-        (["sweep", "--seed", 1, "--jm", "5,0"], "error: --jm: must be an integer of at least 1, got '0'"),
+        (["sweep", "--seed", 1, "--jm", "5,0"], "error: argument --jm: must be an integer of at least 1, got '0'"),
+        (["crossval", "--seed", 1, "--no-filter", "--filter-cutoff", "nan"], "cutoff_hz must be finite, got nan"),
+        (["noise", "--seed", 1, "--no-filter", "--filter-order", 0], "order must be at least 1, got 0"),
+        (["describe", "--no-filter", "--filter-cutoff", 0], "cutoff_hz must be positive, got 0.0"),
+        (["sweep", "--seed", 1, "--metric", "csm", "--features", "all"], "unknown feature set 'all'"),
     ], ids=[
         "crossval-csm-features", "cross-subject-csm-features", "crossval-filter-order",
         "describe-filter-cutoff", "sweep-filter-cutoff", "crossval-infinite-cutoff", "noise-nan-cutoff", "sweep-jm", "sweep-metric", "sweep-features",
@@ -675,6 +728,8 @@ class TestExitCodes:
         "crossval-negative-seed", "sweep-negative-seed", "noise-negative-seed",
         "crossval-one-fold", "sweep-zero-folds", "noise-negative-folds",
         "describe-zero-jm", "crossval-negative-jm", "sweep-zero-jm",
+        "crossval-no-filter-nan-cutoff", "noise-no-filter-filter-order", "describe-no-filter-cutoff",
+        "sweep-csm-only-features",
     ])
     def test_flags_are_checked_before_the_manifest_is_read(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
