@@ -12,7 +12,6 @@ from .descriptor import (
     rank_mij,
     stack_descriptor,
     stacked_length,
-    unstack_descriptor,
 )
 from .evaluation import (
     EvalReport,

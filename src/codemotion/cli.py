@@ -105,7 +105,7 @@ def _sigma(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value >= 0):
         raise argparse.ArgumentTypeError(f"noise standard deviations must be finite and non-negative, got {text!r}")
-    return value
+    return value + 0.0  # -0 becomes 0.0, so the noise CSV never reads -0.0
 
 
 def _list_of(parse=str):
@@ -273,10 +273,11 @@ def cmd_sweep(args) -> int:
     ]
     _write_csv(args.out, ["jm", "metric", "features", "accuracy_mean", "accuracy_std", "descriptor_len"], rows)
     # Soft comparison, reported but never asserted: CSM tends to win at small jm.
-    by_key = {(jm, spec.kind.value): report.accuracy_mean for (jm, spec), report in cells}
+    # Manhattan is compared on the full feature set, the one CSM reads.
+    accuracy = {(jm, spec): report.accuracy_mean for (jm, spec), report in cells}
     for jm in args.jm:
-        csm_acc = by_key.get((jm, "csm"))
-        man_acc = by_key.get((jm, "manhattan"))
+        csm_acc = accuracy.get((jm, MetricSpec(Metric.CSM)))
+        man_acc = accuracy.get((jm, MetricSpec(Metric.MANHATTAN)))
         if csm_acc is not None and man_acc is not None:
             print(f"jm={jm}: csm {csm_acc:.4f} vs manhattan {man_acc:.4f}")
     print(f"wrote {len(rows)} sweep rows to {args.out}")

@@ -25,7 +25,6 @@ __all__ = [
     "pairwise_correlation",
     "compute_descriptor",
     "stack_descriptor",
-    "unstack_descriptor",
     "stacked_length",
 ]
 
@@ -265,14 +264,3 @@ def stack_descriptor(descriptor: CodeDescriptor) -> np.ndarray:
     fields = [getattr(descriptor, name) for name in _layout(descriptor.jm)]
     return np.concatenate(fields, dtype=np.float64)
 
-
-def unstack_descriptor(stacked, jm: int) -> CodeDescriptor:
-    """Inverse of :func:`stack_descriptor` for a known MIJ count."""
-    flat = np.asarray(stacked, dtype=np.float64)
-    expected = stacked_length(jm)
-    if flat.shape != (expected,):
-        raise ValueError(f"stacked vector for jm={jm} must have length {expected}, got shape {flat.shape}")
-    layout = _layout(jm)
-    fields = dict(zip(layout, np.split(flat, np.cumsum(list(layout.values()))[:-1])))
-    fields["mij"] = np.rint(fields["mij"]).astype(np.intp)
-    return CodeDescriptor(**fields, jm=jm)

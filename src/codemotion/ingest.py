@@ -340,7 +340,8 @@ def butterworth_filter(actions, spec: FilterSpec = FilterSpec()) -> list[ActionM
     together, in chunks of whole, consecutive actions of at most
     ``_FILTER_ELEMENTS`` buffer elements, and every chunk reuses one buffer.
     Each result equals ``scipy.signal.sosfiltfilt`` of that action alone,
-    bit for bit.
+    bit for bit. A rate that ``lowpass_sos`` has no design for fails before
+    any action is filtered, with the first action at that rate named.
 
     The function works on its own list of the actions: each raw action is
     dropped once its chunk is buffered, and its filtered copy later takes its
@@ -359,16 +360,14 @@ def butterworth_filter(actions, spec: FilterSpec = FilterSpec()) -> list[ActionM
     groups: dict[tuple[float, int], list[int]] = {}
     for i, key in enumerate([(a.frame_rate, a.num_frames.bit_length()) for a in actions]):
         groups.setdefault(key, []).append(i)
-    # every group is checked, and every chunk planned, before any is filtered
+    # every rate is designed, and every chunk planned, before any is filtered
     designs, plan = {}, []
     for (rate, _), members in groups.items():
-        if not spec.cutoff_hz < rate / 2.0:
-            raise ValueError(
-                f"cutoff {spec.cutoff_hz} Hz must stay below the Nyquist frequency {rate / 2.0} Hz "
-                f"of a {rate} Hz recording (action {actions[members[0]].action_id!r})"
-            )
-        if rate not in designs:
-            sos = lowpass_sos(spec.order, spec.cutoff_hz, rate)
+        if rate not in designs:  # so members[0] is the first action at this rate
+            try:
+                sos = lowpass_sos(spec.order, spec.cutoff_hz, rate)
+            except ValueError as exc:
+                raise ValueError(f"{exc} (action {actions[members[0]].action_id!r})") from None
             designs[rate] = (sos, sosfilt_zi(sos)[:, :, None])
         plan += [(designs[rate], chunk) for chunk in _chunks(members, rows, columns)]
     sizes = [max(rows[i] for i in chunk) * sum(columns[i] for i in chunk) for _, chunk in plan]

@@ -422,6 +422,20 @@ class TestSweep:
         captured = capsys.readouterr().out
         assert "csm" in captured and "manhattan" in captured
 
+    @pytest.mark.parametrize("features, compared", [("full,var", ["3", "5"]), ("var", [])], ids=["full-and-var", "var"])
+    def test_comparison_reads_manhattan_on_full_features(self, noisy_dir, tmp_path, capsys, features, compared):
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", "--manifest", noisy_dir / "manifest.json", "--jm", "3,5", "--metric", "csm,manhattan",
+                   "--features", features, "--folds", 3, "--seed", 2, "--out", out) == 0
+        accuracy = {(r["jm"], r["metric"], r["features"]): float(r["accuracy_mean"]) for r in csv.DictReader(out.open())}
+        # on this set the var rows, written after the full ones, score otherwise at jm 5
+        assert accuracy["5", "manhattan", "var"] != accuracy.get(("5", "manhattan", "full"))
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("jm=")]
+        assert lines == [
+            f"jm={jm}: csm {accuracy[jm, 'csm', 'full']:.4f} vs manhattan {accuracy[jm, 'manhattan', 'full']:.4f}"
+            for jm in compared
+        ]
+
     @pytest.mark.parametrize("flag, value", [
         ("--jm", ","), ("--jm", "2,2"), ("--jm", "2,02"), ("--jm", "two"),
         ("--metric", ""), ("--metric", "csm,csm"),
@@ -481,6 +495,12 @@ class TestNoise:
         ]
         # the filter changes the rows on this set, so a run that filtered would show
         assert rows["filtered"] != rows["raw"]
+
+    def test_negative_zero_sigma_reads_zero(self, synth_dir, tmp_path):
+        out = tmp_path / "noise.csv"
+        assert run("noise", "--manifest", synth_dir / "manifest.json",
+                   "--jm", 3, "--folds", 4, "--seed", 3, "--sigmas=-0,1", "--out", out) == 0
+        assert [row[0] for row in csv.reader(out.open())] == ["sigma_deg", "0.0", "1.0"]
 
     def test_negative_sigma_is_input_error(self, synth_dir, tmp_path, capsys):
         code = run("noise", "--manifest", synth_dir / "manifest.json",

@@ -14,7 +14,6 @@ from codemotion import (
     rank_mij,
     stack_descriptor,
     stacked_length,
-    unstack_descriptor,
 )
 from oracles import finite_difference_velocity, pearson, population_variance
 
@@ -44,6 +43,14 @@ class TestActionMatrix:
     def test_rejects_non_finite_frame_rate(self, rate):
         with pytest.raises(ValueError, match=f"frame_rate must be positive and finite, got {rate!r}"):
             ActionMatrix(np.zeros((4, 2)), frame_rate=rate)
+
+    @pytest.mark.parametrize("shape, message", [
+        ((4,), r"samples must be 2-D \(frames x joints\), got shape \(4,\)"),
+        ((4, 0), "need at least one joint column"),
+    ], ids=["1-D", "no-joints"])
+    def test_rejects_bad_shape(self, shape, message):
+        with pytest.raises(ValueError, match=message):
+            ActionMatrix(np.zeros(shape), frame_rate=30.0)
 
     def test_samples_are_immutable(self):
         action = ActionMatrix(np.zeros((4, 2)), frame_rate=30.0)
@@ -106,6 +113,10 @@ class TestRankMij:
             rank_mij([1.0, 2.0], jm=3)
         with pytest.raises(ValueError):
             rank_mij([1.0, 2.0], jm=0)
+
+    def test_rejects_2d_variances(self):
+        with pytest.raises(ValueError, match="variances must be a 1-D vector"):
+            rank_mij([[1.0, 2.0]], jm=1)
 
     def test_var_norm_sums_to_one(self, rng):
         v = rng.uniform(0.1, 50.0, 12)
@@ -177,6 +188,10 @@ class TestExtremeVelocities:
         velocities = np.array([[2.0, -2.0], [1.0, -3.0]])
         vmax, _ = extreme_velocities(velocities)
         np.testing.assert_allclose(vmax, [0.5, -0.5])
+
+    def test_rejects_1d_velocities(self):
+        with pytest.raises(ValueError, match=r"velocities must be 2-D \(frames x joints\), got shape \(5,\)"):
+            extreme_velocities(np.zeros(5))
 
     def test_all_zero_stays_zero(self):
         vmax, vmin = extreme_velocities(np.zeros((5, 3)))
@@ -307,15 +322,6 @@ class TestStacking:
         assert stack_descriptor(d).shape == (4,)
         assert stacked_length(1) == 4
 
-    def test_round_trip(self, rng):
-        action = random_action(rng, joints=7, frames=25)
-        d = compute_descriptor(action, 4)
-        assert unstack_descriptor(stack_descriptor(d), 4) == d
-
-    def test_unstack_rejects_bad_length(self):
-        with pytest.raises(ValueError):
-            unstack_descriptor(np.zeros(10), jm=2)
-
 
 class TestDescriptorValidation:
     def test_duplicate_mij_rejected(self):
@@ -325,6 +331,14 @@ class TestDescriptorValidation:
     def test_wrong_corr_length_rejected(self):
         with pytest.raises(ValueError, match="corr"):
             CodeDescriptor([0, 1], [0.5, 0.5], [1, 0], [1, 0], [0.0, 0.0], jm=2)
+
+    @pytest.mark.parametrize("fields, message", [
+        (([], [], [], [], [], 0), "jm must be at least 1, got 0"),
+        (([0], [1.0], [np.nan], [1.0], [], 1), "vmax_norm contains NaN or infinite values"),
+    ], ids=["jm-0", "nan-field"])
+    def test_bad_field_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            CodeDescriptor(*fields)
 
     @pytest.mark.parametrize("value", [1.5, -1.0000001])
     def test_corr_outside_unit_interval_rejected(self, value):

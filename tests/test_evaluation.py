@@ -94,6 +94,14 @@ class TestStratifiedKFold:
         with pytest.raises(ValueError):
             SplitPlan.stratified_kfold(["a", "b"], k=3, seed=0)
 
+    @pytest.mark.parametrize("labels, k, message", [
+        ([], 2, "cannot split an empty dataset"),
+        (["a", "b"], 3, r"fold count must be in \[2, 2\], got 3"),
+    ], ids=["empty", "k-above-n"])
+    def test_bad_split_is_named(self, labels, k, message):
+        with pytest.raises(ValueError, match=message):
+            SplitPlan.stratified_kfold(labels, k=k, seed=0)
+
     def test_deterministic_under_seed(self):
         labels = ["a"] * 12 + ["b"] * 12
         p1 = SplitPlan.stratified_kfold(labels, k=4, seed=9)
@@ -148,6 +156,10 @@ class TestCrossSubject:
 
 
 class TestEvaluate:
+    def test_empty_pool_rejected(self):
+        with pytest.raises(ValueError, match="dataset is empty"):
+            evaluate([], jm=3, spec=CSM, plan=one_fold([0], [1]))
+
     def test_disjoint_classes_are_perfectly_separated(self):
         actions = disjoint_dataset(per_class=5)
         plan = SplitPlan.stratified_kfold([a.class_label for a in actions], k=5, seed=0)

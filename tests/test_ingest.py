@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from codemotion import ingest
+from codemotion.butter import lowpass_sos
 from codemotion import (
     ActionMatrix,
     DatasetError,
@@ -168,6 +169,21 @@ class TestLoadDataset:
         ])
         with pytest.raises(DatasetError, match="duplicate action_id"):
             load_manifest(manifest)
+
+    @pytest.mark.parametrize("unit", ["grad", "DEG"])
+    def test_unknown_angle_unit_names_manifest_entry_and_action(self, tmp_path, unit):
+        manifest = write_dataset(tmp_path, [("a.csv", "1,2\n3,4\n", {"action_id": "a", "angle_unit": unit})])
+        expected = f"{manifest}: manifest entry 0 ('a'): angle_unit must be one of ('deg', 'rad'), got {unit!r}"
+        with pytest.raises(DatasetError, match=f"^{re.escape(expected)}$"):
+            load_manifest(manifest)
+
+    @pytest.mark.parametrize("payload", [[], {}, {"dataset_name": "x"}], ids=["array", "empty-object", "no-entries"])
+    def test_manifest_without_entries_rejected(self, tmp_path, payload):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(payload))
+        expected = f"{path}: manifest must be an object with an 'entries' list"
+        with pytest.raises(DatasetError, match=f"^{re.escape(expected)}$"):
+            load_manifest(path)
 
     def test_bad_frame_rate_rejected(self, tmp_path):
         manifest = write_dataset(tmp_path, [("a.csv", "1,2\n3,4\n", {"frame_rate": 0})])
@@ -538,6 +554,26 @@ class TestButterworthFilter:
             butterworth_filter(pool, FilterSpec(cutoff_hz=20.0))
         assert calls == []
 
+    @pytest.mark.parametrize("cutoff, message", [
+        (0.0, "cutoff 0.0 Hz must be positive"),
+        (math.nan, "cutoff nan Hz must be positive"),
+        (15.0, "cutoff 15.0 Hz must stay below the Nyquist frequency 15.0 Hz of a 30.0 Hz recording"),
+    ], ids=["zero", "nan", "nyquist"])
+    def test_design_rejects_a_cutoff_outside_the_band(self, cutoff, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lowpass_sos(2, cutoff, 30.0)
+
+    @pytest.mark.parametrize("order, cutoff", [(250, 110.0), (520, 10.0), (400, 1.0)],
+                             ids=["gain-overflows", "section-not-finite", "gain-underflows"])
+    def test_unbuildable_design_names_the_action_before_any_is_filtered(self, rng, monkeypatch, order, cutoff):
+        calls = []
+        monkeypatch.setattr(ingest, "_sosfiltfilt", lambda *args: calls.append(args) or [])
+        pool = [random_action(rng, frame_rate=240.0, action_id=name) for name in ("first", "second")]
+        expected = f"order {order} is too high for a {cutoff} Hz low-pass of a 240.0 Hz recording: "
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}.*\\(action 'first'\\)$"):
+            butterworth_filter(pool, FilterSpec(cutoff_hz=cutoff, order=order))
+        assert calls == []
+
     def test_linearity(self, rng):
         a = random_action(rng, joints=3, frames=150, frame_rate=60.0)
         b = random_action(rng, joints=3, frames=150, frame_rate=60.0)
@@ -705,6 +741,15 @@ class TestGenerateSynthetic:
     def test_float_fields_validated(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             SyntheticConfig(classes=1, per_class=1, subjects=1, **{field: value})
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"frames": 1}, "need at least 2 frames"),
+        ({"active_per_class": 1}, "active_per_class must be at least 2"),
+        ({"joints": 6, "active_per_class": 7}, "active_per_class cannot exceed the joint count"),
+    ], ids=["one-frame", "one-active-joint", "more-active-than-joints"])
+    def test_shape_fields_validated(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SyntheticConfig(classes=1, per_class=1, subjects=1, **fields)
 
     def test_zero_noise_and_negative_amplitude_accepted(self):
         SyntheticConfig(classes=1, per_class=1, subjects=1, noise_deg=0.0, amplitude_deg=-5.0)

@@ -5,6 +5,7 @@ match exactly (``np.array_equal``, no tolerance).
 """
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -87,6 +88,55 @@ def _assert_matches_sosfiltfilt(pool, filtered, spec):
         ours, theirs = (compute_descriptor(a, action.num_joints) for a in (result, expected))
         for name in ("var_norm", "vmax_norm", "vmin_norm", "corr"):
             assert np.array_equal(getattr(ours, name), getattr(theirs, name)), (action.action_id, name)
+
+
+# Past DESIGN_GRID's orders, up to where float64 runs out: order 300 at
+# 6 Hz of 240 Hz is past it (its gain underflows to 0, in scipy's design too).
+HIGH_ORDER_GRID = list(itertools.product((11, 30, 60, 150, 300), (6.0, 10.0, 20.0), (120.0, 240.0)))
+
+
+@pytest.mark.parametrize("order, cutoff, fs", HIGH_ORDER_GRID)
+def test_high_order_design_matches_scipy_or_is_rejected(order, cutoff, fs):
+    with np.errstate(all="ignore"):
+        expected = signal.butter(order, cutoff, btype="low", fs=fs, output="sos")
+    if not (np.isfinite(expected).all() and expected[0, 0] != 0):
+        with pytest.raises(ValueError, match=f"^order {order} is too high"):
+            lowpass_sos(order, cutoff, fs)
+        return
+    sos = lowpass_sos(order, cutoff, fs)
+    assert np.array_equal(sos, expected)
+    assert np.array_equal(sosfilt_zi(sos), signal.sosfilt_zi(expected))
+    pool = [action for action in _mixed_pool(order) if action.frame_rate == fs]
+    spec = FilterSpec(cutoff_hz=cutoff, order=order)
+    _assert_matches_sosfiltfilt(pool, butterworth_filter(pool, spec), spec)
+
+
+# The lowest order at each rate and cutoff whose design float64 cannot hold,
+# as README gives them. Its gain sits near the smallest subnormal, so these
+# pin bits of numpy's arithmetic that scipy's design shares.
+@pytest.mark.parametrize("fs, cutoff, lowest", [
+    (120.0, 6.0, 384), (120.0, 10.0, 457), (120.0, 50.0, 248),
+    (240.0, 6.0, 288), (240.0, 10.0, 353), (240.0, 50.0, 385),
+])
+def test_lowest_order_float64_cannot_hold(fs, cutoff, lowest):
+    sos = lowpass_sos(lowest - 1, cutoff, fs)
+    assert np.array_equal(sos, signal.butter(lowest - 1, cutoff, btype="low", fs=fs, output="sos"))
+    with np.errstate(all="ignore"):
+        expected = signal.butter(lowest, cutoff, btype="low", fs=fs, output="sos")
+    assert not (np.isfinite(expected).all() and expected[0, 0] != 0)
+    message = f"order {lowest} is too high for a {cutoff} Hz low-pass of a {fs} Hz recording: "
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        lowpass_sos(lowest, cutoff, fs)
+
+
+def test_high_order_grid_reaches_past_float64_once():
+    rejected = []
+    for config in HIGH_ORDER_GRID:
+        try:
+            lowpass_sos(*config)
+        except ValueError:
+            rejected.append(config)
+    assert rejected == [(300, 6.0, 240.0)]
 
 
 @pytest.mark.parametrize("order", ORDERS)
