@@ -147,58 +147,62 @@ def _read_text(path: Path) -> str:
 def _read_csv_matrix(path: Path) -> np.ndarray:
     """Parse one action CSV: comma-separated decimals, optional auto-detected header.
 
-    A first row none of whose cells is numeric is a header. The other
-    non-blank rows convert in one call; a file whose conversion fails or holds
-    a non-finite value is scanned line by line so the error names the first
-    bad line. The text is read by ``_read_text``.
+    A first row none of whose cells is numeric is a header. numpy reads the
+    other non-blank rows in one call. An error names the first bad line and,
+    on that line, a non-numeric cell before a non-finite value before a
+    changed column count. The text is read by ``_read_text``.
     """
-    lines = _read_text(path).splitlines()
-    numbered = [(line_no, line) for line_no, line in enumerate(lines, start=1) if line.strip()]
+    numbered = [(n, line) for n, line in enumerate(_read_text(path).splitlines(), start=1) if line.strip()]
     if numbered and not any(_is_number(c) for c in numbered[0][1].split(",")):
         del numbered[0]
     if not numbered:
         raise DatasetError(f"{path}: no numeric rows")
     try:
-        # comments=None: a '#' cell is a non-numeric value, not a comment
-        samples = np.loadtxt(
-            [line for _, line in numbered], delimiter=",", dtype=np.float64,
-            comments=None, ndmin=2,
-        )
-        if np.isfinite(samples).all():
-            return samples
+        samples = _loadtxt(line for _, line in numbered)
     except ValueError:  # a non-numeric cell or a ragged row
-        pass
-    return _scan_rows(path, numbered)
+        readable, fault = _scan_rows(path, numbered)
+        for block in filter(None, readable):
+            _check_finite(path, block, _loadtxt(line for _, line in block))
+        raise fault from None
+    _check_finite(path, numbered, samples)
+    return samples
 
 
-def _scan_rows(path: Path, numbered) -> np.ndarray:
-    """Check each line for non-numeric, non-finite and column-count faults, in that order."""
-    rows: list[list[float]] = []
-    for line_no, line in numbered:
-        cells = [c.strip() for c in line.split(",")]
-        numeric = [_is_number(c) for c in cells]
-        if not all(numeric):
-            bad = cells[numeric.index(False)]
-            raise DatasetError(f"{path}, line {line_no}: non-numeric value {bad!r}")
-        values = [float(c) for c in cells]
-        if not all(math.isfinite(v) for v in values):
-            raise DatasetError(f"{path}, line {line_no}: non-finite value")
-        if rows and len(values) != len(rows[0]):
-            raise DatasetError(
-                f"{path}, line {line_no}: expected {len(rows[0])} columns, got {len(values)}"
-            )
-        rows.append(values)
-    return np.array(rows, dtype=np.float64)
+def _loadtxt(lines) -> np.ndarray:
+    # comments=None: a '#' cell is a non-numeric value, not a comment
+    return np.loadtxt(lines, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
 
 
 def _is_number(cell: str) -> bool:
-    if "_" in cell:
-        return False
+    """Whether numpy's parser reads ``cell`` as one number; it is not asked about an empty one."""
     try:
-        float(cell)
-        return True
+        return cell != "" and _loadtxt([cell]).shape == (1, 1)  # on no data, numpy warns
     except ValueError:
         return False
+
+
+def _scan_rows(path: Path, numbered) -> tuple[list, DatasetError]:
+    """The error for the first line with a non-numeric cell or a changed column count.
+
+    With it come the lines whose non-finite values are named first, in blocks
+    numpy reads whole: those before it and, if its count changed, that line.
+    """
+    width = len(numbered[0][1].split(","))
+    for n, (line_no, line) in enumerate(numbered):
+        cells = line.split(",")
+        bad = next((cell.strip() for cell in cells if not _is_number(cell)), None)
+        if bad is not None:
+            return [numbered[:n]], DatasetError(f"{path}, line {line_no}: non-numeric value {bad!r}")
+        if len(cells) != width:
+            message = f"{path}, line {line_no}: expected {width} columns, got {len(cells)}"
+            return [numbered[:n], numbered[n : n + 1]], DatasetError(message)
+
+
+def _check_finite(path: Path, numbered, samples: np.ndarray) -> None:
+    """Raise for the first of the lines ``numbered``, read as ``samples``, with a non-finite value."""
+    finite = np.isfinite(samples)
+    if not finite.all():
+        raise DatasetError(f"{path}, line {numbered[finite.all(axis=1).argmin()][0]}: non-finite value")
 
 
 # Files per task of a forked worker, both when parsing and when writing. A
@@ -263,16 +267,32 @@ def _raised(result):
     return result
 
 
+def _action_paths(manifest_path: Path, entries) -> list[Path]:
+    """Each entry's file, beside the manifest; no two entries, nor an entry and the manifest, share one."""
+    # realpath, not Path.resolve, which raises RuntimeError on a symlink loop before Python 3.13
+    seen = {os.path.realpath(manifest_path): "the manifest"}
+    paths = []
+    for entry in entries:
+        path = manifest_path.parent / entry.path
+        key = os.path.realpath(path)
+        if key in seen:
+            raise DatasetError(f"{path}: action {entry.action_id!r} and {seen[key]} resolve to the same file")
+        seen[key] = f"action {entry.action_id!r}"
+        paths.append(path)
+    return paths
+
+
 def load_dataset(manifest_path) -> list[ActionMatrix]:
     """Load every action listed in a manifest, in manifest order.
 
     Radian files are converted to degrees. All actions of one dataset must
-    share the same joint count. The files are parsed in parallel, but the
-    error raised is that of the first bad entry in manifest order.
+    share the same joint count. Entries that resolve to one file fail before
+    any is read. The files are parsed in parallel, but the error raised is
+    that of the first bad entry in manifest order.
     """
     manifest_path = Path(manifest_path)
     manifest = load_manifest(manifest_path)
-    paths = [manifest_path.parent / entry.path for entry in manifest.entries]
+    paths = _action_paths(manifest_path, manifest.entries)
     actions: list[ActionMatrix] = []
     joints = None
     with _forked(_read_csv_matrix, paths) as matrices:
@@ -281,6 +301,8 @@ def load_dataset(manifest_path) -> list[ActionMatrix]:
                 samples = next(matrices)
             except (FileNotFoundError, NotADirectoryError):  # no such file, or a file on its path
                 raise DatasetError(f"{file_path}: file not found (action {entry.action_id!r})") from None
+            except OSError as exc:  # a directory, say, or a file this process may not read
+                raise DatasetError(f"{file_path}: {exc.strerror} (action {entry.action_id!r})") from None
             if entry.angle_unit == "rad":
                 samples = np.degrees(samples)
             if joints is None:
@@ -595,7 +617,6 @@ def save_dataset(actions, manifest: DatasetManifest, out_dir) -> Path:
         raise DatasetError(f"manifest entries have no matching action: {', '.join(map(repr, missing))}")
     manifest_path = out_dir / "manifest.json"
     entries = [_entry(by_id[entry.action_id], entry.path) for entry in manifest.entries]
-    seen = {manifest_path.resolve(): "the manifest"}
     for given, entry in zip(manifest.entries, entries):
         for field in ("frame_rate", "class_label", "subject_id"):
             if getattr(given, field) != getattr(entry, field):
@@ -603,13 +624,9 @@ def save_dataset(actions, manifest: DatasetManifest, out_dir) -> Path:
                     f"action {entry.action_id!r}: the manifest's {field} {getattr(given, field)!r} "
                     f"differs from the action's {getattr(entry, field)!r}"
                 )
-        path = out_dir / entry.path
-        key = path.resolve()
-        if key in seen:
-            raise DatasetError(f"{path}: action {entry.action_id!r} and {seen[key]} resolve to the same file")
-        seen[key] = f"action {entry.action_id!r}"
+    paths = _action_paths(manifest_path, entries)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [(out_dir / entry.path, by_id[entry.action_id].samples) for entry in entries]
+    tasks = [(path, by_id[entry.action_id].samples) for path, entry in zip(paths, entries)]
     with _forked(_write, tasks) as written:
         list(written)  # raises the first failing entry's error
     _write_json(manifest_path, {"dataset_name": manifest.dataset_name, "entries": list(map(asdict, entries))})

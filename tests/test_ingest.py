@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from codemotion import ingest
 from codemotion.butter import lowpass_sos
@@ -60,10 +61,13 @@ def cpus(request, monkeypatch):
 
 
 def reference_read(path):
-    """``float()`` per cell, under the reader's BOM, header, blank-line, underscore and message rules."""
+    """``float()`` per cell, under the reader's BOM, header, blank-line, digit and message rules."""
     def number(cell):
+        # numpy's grammar has ASCII digits only and no digit separator; float() has both
+        if "_" in cell or any(c.isdecimal() and not c.isascii() for c in cell):
+            return None
         try:
-            return None if "_" in cell else float(cell)
+            return float(cell)
         except ValueError:
             return None
 
@@ -345,6 +349,35 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
             load_dataset(manifest)
 
+    @pytest.mark.parametrize("path, message", [
+        ("./a0.csv", "{dir}/a0.csv: action 'a4_dup' and action 'a0' resolve to the same file"),
+        ("manifest.json", "{dir}/manifest.json: action 'a4_dup' and the manifest resolve to the same file"),
+    ], ids=["same-file", "manifest-file"])
+    def test_entries_sharing_a_file_fail_before_any_csv_is_read(self, tmp_path, cpus, path, message):
+        # a copy of an action in its own training folds would score as a neighbour;
+        # a1.csv is unparseable, and the shared file is named before it
+        files = [(f"a{i}.csv", "1,2\n3,4\n", {"action_id": f"a{i}"}) for i in range(6)]
+        files[1] = ("a1.csv", "1,x\n", {"action_id": "a1"})
+        manifest = write_dataset(tmp_path, files)
+        payload = json.loads(manifest.read_text())
+        payload["entries"].append({**payload["entries"][4], "path": path, "action_id": "a4_dup"})
+        manifest.write_text(json.dumps(payload))
+        expected = message.format(dir=tmp_path)
+        with pytest.raises(DatasetError, match=f"^{re.escape(expected)}$"):
+            load_dataset(manifest)
+
+    @pytest.mark.parametrize("path", [".", "loop"], ids=["directory", "symlink-loop"])
+    def test_unreadable_path_names_file_and_action(self, tmp_path, cpus, path):
+        # the manifest's own directory, or a link to itself: neither can be read as a file
+        files = [(f"a{i}.csv", "1,2\n3,4\n", {"action_id": f"a{i}"}) for i in range(6)]
+        manifest = write_dataset(tmp_path, files)
+        (tmp_path / "loop").symlink_to("loop")
+        payload = json.loads(manifest.read_text())
+        payload["entries"][3]["path"] = path
+        manifest.write_text(json.dumps(payload))
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(tmp_path / path))}: .+ \\(action 'a3'\\)$"):
+            load_dataset(manifest)
+
 
 def spy_pools(monkeypatch):
     """The worker count of every process pool ``ingest`` starts from now on."""
@@ -452,8 +485,39 @@ class TestParsePool:
 
 PARITY_CELLS = [
     " 1.5 ", "+1", ".5", "5.", "1E5", "-0", "#1", "1,,2", "1,2,", '"1"', "1_0",
-    "nan", "inf", "0x10", "\u0661",
+    "nan", "inf", "0x10", "\u0661", "\uff11", "\uff11.5",
 ]
+
+# Cells the grammar test draws from: ASCII digits, signs, the point, the
+# exponent, the separator, blanks, the letters of inf and nan, and
+# fullwidth and Arabic-Indic digits, which float() reads and numpy does not.
+GRAMMAR_CELLS = st.text("0123456789+-.e_ \tinfa\uff11\uff15\u0661\u0667", max_size=6)
+
+
+def numpy_reads(cell):
+    """Whether ``np.loadtxt`` reads ``cell``, as a one-line input, as a number."""
+    if not cell.strip():
+        return False
+    try:
+        np.loadtxt([cell], delimiter=",", comments=None)
+    except ValueError:
+        return False
+    return True
+
+
+def first_fault(path, lines):
+    """The error for the first bad (line number, line), judged cell by cell and line by line by numpy."""
+    width = len(lines[0][1].split(","))
+    for n, line in lines:
+        cells = line.split(",")
+        bad = [c.strip() for c in cells if not numpy_reads(c)]
+        if bad:
+            return f"{path}, line {n}: non-numeric value {bad[0]!r}"
+        if not np.isfinite(np.loadtxt([line], delimiter=",", comments=None)).all():
+            return f"{path}, line {n}: non-finite value"
+        if len(cells) != width:
+            return f"{path}, line {n}: expected {width} columns, got {len(cells)}"
+    return None
 
 
 class TestReaderParity:
@@ -484,15 +548,63 @@ class TestReaderParity:
         path.write_text(text, encoding="utf-8")
         assert outcome(ingest._read_csv_matrix, path) == outcome(reference_read, path)
 
-    def test_non_ascii_digit_loads_through_the_scan(self, tmp_path, monkeypatch):
-        # numpy's parser rejects ARABIC-INDIC DIGIT ONE, float() reads it as 1
-        scans = []
-        scan_rows = ingest._scan_rows
-        monkeypatch.setattr(ingest, "_scan_rows", lambda *a: scans.append(a) or scan_rows(*a))
+    @pytest.mark.parametrize("cell", ["\u0661", "\uff11", "\uff11.5", "1e\uff11", "\u0661.5"])
+    def test_non_ascii_digit_is_a_non_numeric_value(self, tmp_path, cell):
+        # float() reads these digits, numpy's parser does not: the cell and its line are named
         path = tmp_path / "a.csv"
-        path.write_text("5,6\n\u0661,7\n", encoding="utf-8")
-        np.testing.assert_array_equal(ingest._read_csv_matrix(path), [[5.0, 6.0], [1.0, 7.0]])
-        assert len(scans) == 1
+        path.write_text(f"5,6\n\n{cell},7\n", encoding="utf-8")
+        message = f"{path}, line 3: non-numeric value {cell!r}"
+        with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+            ingest._read_csv_matrix(path)
+
+    FAULTS = {"non-numeric": "3,x", "non-finite": "inf,4", "columns": "3,4,5"}
+    MESSAGES = {"non-numeric": "non-numeric value 'x'", "non-finite": "non-finite value",
+                "columns": "expected 2 columns, got 3"}
+
+    @pytest.mark.parametrize("first, later", [
+        (a, b) for a in ("non-numeric", "non-finite", "columns")
+        for b in ("non-numeric", "non-finite", "columns") if a != b
+    ])
+    def test_first_faulty_line_wins_whatever_the_kinds(self, tmp_path, first, later):
+        path = tmp_path / "a.csv"
+        text = f"1,2\n{self.FAULTS[first]}\n5,6\n7,8\n{self.FAULTS[later]}\n9,10\n"
+        path.write_text(text, encoding="utf-8")
+        message = f"{path}, line 2: {self.MESSAGES[first]}"
+        with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+            ingest._read_csv_matrix(path)
+        assert outcome(reference_read, path) == ("error", message)
+
+    @pytest.mark.parametrize("row, kind", [
+        ("nan,x", "non-numeric"), ("x,inf,5", "non-numeric"), ("-inf,4,5", "non-finite"),
+    ], ids=["non-numeric-over-non-finite", "non-numeric-over-columns", "non-finite-over-columns"])
+    def test_faults_on_one_line_keep_their_order(self, tmp_path, row, kind):
+        path = tmp_path / "a.csv"
+        path.write_text(f"1,2\n3,4\n{row}\n", encoding="utf-8")
+        message = f"{path}, line 3: {self.MESSAGES[kind]}"
+        with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+            ingest._read_csv_matrix(path)
+        assert outcome(reference_read, path) == ("error", message)
+
+
+class TestReaderGrammar:
+    """The reader against ``np.loadtxt``: its array, or an error naming the first line numpy finds bad."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.lists(GRAMMAR_CELLS, min_size=1, max_size=3), min_size=1, max_size=4))
+    def test_reader_is_numpy(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("grammar") / "a.csv"
+        text = "".join(",".join(row) + "\n" for row in rows)
+        path.write_text(text, encoding="utf-8")
+        lines = [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
+        if lines and not any(map(numpy_reads, lines[0][1].split(","))):
+            lines = lines[1:]
+        fault = first_fault(path, lines) if lines else f"{path}: no numeric rows"
+        if fault is None:
+            expected = np.loadtxt([line for _, line in lines], delimiter=",", comments=None, ndmin=2)
+            assert ingest._read_csv_matrix(path).tobytes() == expected.tobytes()
+        else:
+            with pytest.raises(DatasetError, match=f"^{re.escape(fault)}$"):
+                ingest._read_csv_matrix(path)
 
 
 def lowpass(action, spec):
