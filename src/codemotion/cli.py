@@ -25,6 +25,7 @@ from .ingest import (
     butterworth_filter,
     generate_synthetic,
     load_dataset,
+    load_manifest,
     save_dataset,
 )
 from .similarity import FeatureSet, Metric, MetricSpec
@@ -59,8 +60,8 @@ def _filter_spec(args) -> FilterSpec | None:
     return None if args.no_filter else spec
 
 
-def _load_actions(args, split=None):
-    """The filtered pool as an iterator, and the plan that ``split`` builds from it (None without one).
+def _load_actions(args):
+    """The filtered pool as an iterator.
 
     The caller takes the iterator, so once it has described the actions it
     holds the only reference and frees them before scoring; a list would stay
@@ -72,15 +73,26 @@ def _load_actions(args, split=None):
     # as it buffers it. Python 3.10 keeps a list passed as an argument alive
     # in the caller for the whole call; an exhausted iterator lets go of it.
     actions = iter(load_dataset(args.manifest))
-    actions = list(actions) if spec is None else butterworth_filter(actions, spec)
-    return iter(actions), split(actions) if split else None
+    return iter(list(actions) if spec is None else butterworth_filter(actions, spec))
+
+
+def _manifest_column(args, name: str) -> list[str]:
+    """Field ``name`` of every manifest entry, so a plan is checked before any CSV is parsed."""
+    _filter_spec(args)  # the filter flags need no file, so their errors come first
+    return [getattr(entry, name) for entry in load_manifest(args.manifest).entries]
 
 
 def _seed(text: str) -> int:
-    """The value of ``--seed``: numpy's generators take a non-negative integer only."""
+    """The value of ``--seed``: the seeded generators take a non-negative integer only."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # past Python's digit limit; the digits themselves are not echoed
+        raise argparse.ArgumentTypeError(
+            f"has {len(text)} digits, more than Python converts to an integer "
+            f"(sys.get_int_max_str_digits() is {sys.get_int_max_str_digits()})"
+        ) from None
 
 
 def _at_least(low: int):
@@ -95,9 +107,14 @@ def _at_least(low: int):
     return parse
 
 
-def _kfold(args):
-    """The split of ``--folds`` and ``--seed``: a stratified k-fold plan of the loaded actions."""
-    return lambda actions: SplitPlan.stratified_kfold([a.class_label for a in actions], args.folds, args.seed)
+def _kfold(args) -> SplitPlan:
+    """The stratified k-fold plan of ``--folds`` and ``--seed`` over the manifest's labels."""
+    return SplitPlan.stratified_kfold(_manifest_column(args, "class_label"), args.folds, args.seed)
+
+
+def _cross_subject(args) -> SplitPlan:
+    """The cross-subject plan of ``--train-subjects`` over the manifest's subjects."""
+    return SplitPlan.cross_subject(_manifest_column(args, "subject_id"), args.train_subjects)
 
 
 def _sigma(text: str) -> float:
@@ -171,7 +188,7 @@ def _sanitize(name: str) -> str:
 
 
 def cmd_describe(args) -> int:
-    actions, _ = _pool(_load_actions(args)[0], [args.jm])
+    actions, _ = _pool(_load_actions(args), [args.jm])
     ids = [a.action_id for a in actions]
     names = [f"{_sanitize(action_id)}.json" for action_id in ids]
     owners = {}
@@ -208,15 +225,15 @@ def cmd_describe(args) -> int:
     return 0
 
 
-def _evaluate_split(args, split, protocol):
-    """Load, run 1-NN over the plan that ``split`` builds from the actions, write the report.
+def _evaluate_split(args, plan_of, protocol):
+    """Check the flags, build the plan ``plan_of(args)``, load, run 1-NN over the plan, write the report.
 
-    ``protocol`` holds the report keys of the split's own kind; the plan's
-    ``kind`` and the keys every split shares are added here.
+    ``protocol`` holds the report keys of the plan's own kind; the plan's
+    ``kind`` and the keys every plan shares are added here.
     """
     spec = MetricSpec.parse(args.metric, args.features)
-    actions, plan = _load_actions(args, split)
-    report = evaluate(actions, args.jm, spec, plan)
+    plan = plan_of(args)
+    report = evaluate(_load_actions(args), args.jm, spec, plan)
     protocol.update(
         kind=plan.kind,
         jm=args.jm,
@@ -229,11 +246,7 @@ def _evaluate_split(args, split, protocol):
 
 
 def cmd_crossval(args) -> int:
-    report = _evaluate_split(
-        args,
-        _kfold(args),
-        {"folds": args.folds, "seed": args.seed},
-    )
+    report = _evaluate_split(args, _kfold, {"folds": args.folds, "seed": args.seed})
     print(
         f"accuracy {report.accuracy_mean:.4f} +/- {report.accuracy_std:.4f} "
         f"({args.folds}-fold, jm={args.jm}, {args.metric})"
@@ -242,11 +255,7 @@ def cmd_crossval(args) -> int:
 
 
 def cmd_cross_subject(args) -> int:
-    report = _evaluate_split(
-        args,
-        lambda actions: SplitPlan.cross_subject([a.subject_id for a in actions], args.train_subjects),
-        {"train_subjects": args.train_subjects},
-    )
+    report = _evaluate_split(args, _cross_subject, {"train_subjects": args.train_subjects})
     print(f"cross-subject accuracy {report.accuracy:.4f} (jm={args.jm}, {args.metric})")
     return 0
 
@@ -257,8 +266,8 @@ def cmd_sweep(args) -> int:
         for metric in args.metric
         for features in ([FeatureSet.FULL] if metric is Metric.CSM else args.features)
     ]
-    actions, plan = _load_actions(args, _kfold(args))
-    reports = mij_sweep(actions, args.jm, specs, plan)
+    plan = _kfold(args)
+    reports = mij_sweep(_load_actions(args), args.jm, specs, plan)
     cells = list(zip(itertools.product(args.jm, specs), reports))
     rows = [
         (
@@ -288,8 +297,8 @@ def cmd_noise(args) -> int:
     spec = MetricSpec.parse(args.metric, args.features)
     filter_spec = _filter_spec(args)
     sigmas = sorted(args.sigmas)
+    plan = _kfold(args)
     actions = load_dataset(args.manifest)  # raw: noise must land before filtering
-    plan = _kfold(args)(actions)
     reports = noise_sweep(
         actions, sigmas, args.jm, spec, plan,
         seed=args.seed, filter_spec=filter_spec, corrupt_train=args.corrupt_train,

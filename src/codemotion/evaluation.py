@@ -25,6 +25,94 @@ __all__ = [
 ]
 
 
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _seed_state(seed: int) -> list[int]:
+    """``np.random.SeedSequence(seed).generate_state(4, np.uint64)`` for a non-negative int seed."""
+    words = [(seed >> shift) & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return value ^ value >> 16
+
+    # the first four words, or zeros, fill the pool; each pool word then mixes
+    # into the other three, and every word past the fourth into all four
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = 0x8B51F9DD
+    halves = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const & _MASK32
+        halves.append(value ^ value >> 16)
+    return [low | high << 32 for low, high in zip(halves[::2], halves[1::2])]
+
+
+class _Shuffler:
+    """``np.random.default_rng(seed).shuffle`` on lists, without importing ``numpy.random``.
+
+    That import costs about 6 MB and 14 ms, and numpy guarantees no
+    ``Generator`` stream across versions; this pins the one the folds use:
+    SeedSequence's mixing, PCG64 with its XSL-RR output, Generator's 32-bit
+    draws taken low half first from each 64-bit output, its masked rejection
+    and its Fisher-Yates loop from the last index down. The half left over
+    carries to the next shuffle, as it does in numpy.
+    """
+
+    def __init__(self, seed) -> None:
+        if not isinstance(seed, (int, np.integer)):  # SeedSequence's integer types; bool is an int
+            raise TypeError(f"seed must be a non-negative integer, got {type(seed).__name__}")
+        seed = int(seed)
+        if seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed}")
+        state_high, state_low, inc_high, inc_low = _seed_state(seed)
+        self._inc = ((inc_high << 64 | inc_low) << 1 | 1) & _MASK128
+        # PCG64's seeding: a step from state 0 leaves inc, the seed state is added, then one more step
+        self._state = self._step(self._inc + (state_high << 64 | state_low))
+        self._half = None
+
+    def _step(self, state: int) -> int:
+        return (state * _PCG64_MULTIPLIER + self._inc) & _MASK128
+
+    def _next32(self) -> int:
+        if self._half is not None:
+            half, self._half = self._half, None
+            return half
+        self._state = state = self._step(self._state)
+        mixed = ((state >> 64) ^ state) & _MASK64
+        rotation = state >> 122
+        value = (mixed >> rotation | mixed << (64 - rotation)) & _MASK64
+        self._half = value >> 32
+        return value & _MASK32
+
+    def shuffle(self, items: list) -> None:
+        """Shuffle ``items`` in place; fewer than 2**32 of them, so every draw is one 32-bit half."""
+        for i in range(len(items) - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            while (j := self._next32() & mask) > i:
+                pass
+            items[i], items[j] = items[j], items[i]
+
+
 @dataclass(frozen=True, eq=False)
 class SplitPlan:
     """At least one (train, test) fold of dataset indices.
@@ -63,7 +151,9 @@ class SplitPlan:
         """Seeded stratified k-fold: each class is spread across folds as evenly as counts allow.
 
         Classes with fewer items than folds trigger a warning and get a
-        best-effort spread instead of an error.
+        best-effort spread instead of an error. ``seed`` is a non-negative
+        Python or numpy integer; each class is shuffled as
+        ``np.random.default_rng(seed).shuffle`` would, one generator for all.
         """
         labels = list(labels)
         n = len(labels)
@@ -71,7 +161,7 @@ class SplitPlan:
             raise ValueError("cannot split an empty dataset")
         if not 2 <= k <= n:
             raise ValueError(f"fold count must be in [2, {n}], got {k}")
-        rng = np.random.default_rng(seed)
+        shuffler = _Shuffler(seed)
         classes, inverse, counts = np.unique(
             np.asarray(labels, dtype=object), return_inverse=True, return_counts=True
         )
@@ -88,10 +178,10 @@ class SplitPlan:
         fold_of = np.empty(n, dtype=np.intp)
         cursor = 0
         for c in range(classes.size):
-            idx = np.flatnonzero(inverse == c)
-            rng.shuffle(idx)
-            fold_of[idx] = (cursor + np.arange(idx.size)) % k
-            cursor = (cursor + idx.size) % k
+            idx = np.flatnonzero(inverse == c).tolist()
+            shuffler.shuffle(idx)
+            fold_of[idx] = (cursor + np.arange(len(idx))) % k
+            cursor = (cursor + len(idx)) % k
         folds = tuple(
             (np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f)) for f in range(k)
         )

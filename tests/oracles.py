@@ -1,10 +1,15 @@
 """Brute-force reference implementations used to cross-check the library.
 
 Everything here is written with explicit loops and scalar arithmetic so the
-expected values stay independent of the vectorized code paths under test.
+expected values stay independent of the vectorized code paths under test,
+except ``stratified_kfold``: that is the k-fold plan as it was drawn from
+``numpy.random``'s own generator, before the library pinned its shuffle.
 """
 
 import math
+import warnings
+
+import numpy as np
 
 FLAT_FLOOR = 1e-12
 
@@ -102,3 +107,37 @@ def manhattan_distance(a, b, features):
 
 def euclidean_distance(a, b, features):
     return math.sqrt(sum((x - y) ** 2 for x, y in zip(_slices(a, features), _slices(b, features))))
+
+
+def stratified_kfold(labels, k, seed):
+    """The (train, test) folds of ``SplitPlan.stratified_kfold``, shuffled by ``np.random.default_rng``."""
+    labels = list(labels)
+    n = len(labels)
+    if n == 0:
+        raise ValueError("cannot split an empty dataset")
+    if not 2 <= k <= n:
+        raise ValueError(f"fold count must be in [2, {n}], got {k}")
+    rng = np.random.default_rng(seed)
+    classes, inverse, counts = np.unique(
+        np.asarray(labels, dtype=object), return_inverse=True, return_counts=True
+    )
+    short = sorted(str(label) for label, c in zip(classes, counts) if c < k)
+    if short:
+        warnings.warn(
+            f"{len(short)} class(es) have fewer than {k} items "
+            f"({', '.join(short[:5])}{'...' if len(short) > 5 else ''}); "
+            "stratification is best-effort",
+            stacklevel=2,
+        )
+    # each class, shuffled, deals its items to the folds round-robin from
+    # where the previous class stopped
+    fold_of = np.empty(n, dtype=np.intp)
+    cursor = 0
+    for c in range(classes.size):
+        idx = np.flatnonzero(inverse == c)
+        rng.shuffle(idx)
+        fold_of[idx] = (cursor + np.arange(idx.size)) % k
+        cursor = (cursor + idx.size) % k
+    return tuple(
+        (np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f)) for f in range(k)
+    )

@@ -363,6 +363,26 @@ class TestCrossval:
         )
         assert loaded.splitlines()[-1] == "False"
 
+    @pytest.mark.parametrize("argv, out", [
+        (["crossval", "--jm", 3], "report.json"),
+        (["sweep", "--jm", "2,3"], "sweep.csv"),
+    ], ids=["crossval", "sweep"])
+    def test_run_leaves_numpy_random_unimported(self, synth_dir, tmp_path, argv, out):
+        # numpy.random costs about 6 MB and 14 ms to import; the folds' shuffle is drawn without it
+        loaded = run_python(
+            "import sys\n"
+            "import numpy\n"
+            "print('numpy.random' in sys.modules)\n"
+            "from codemotion.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print('numpy.random' in sys.modules)\n",
+            *argv, "--manifest", synth_dir / "manifest.json", "--folds", 4, "--seed", 3, "--out", tmp_path / out,
+        )
+        with_numpy, after_run = loaded.splitlines()[-2:]
+        if with_numpy == "True":
+            pytest.skip("import numpy loads numpy.random itself before numpy 2")
+        assert after_run == "False"
+
     def test_seed_is_required(self, synth_dir, tmp_path, capsys):
         code = run("crossval", "--manifest", synth_dir / "manifest.json",
                    "--jm", 3, "--out", tmp_path / "x.json")
@@ -574,9 +594,8 @@ class TestLoadActions:
         args = build_parser().parse_args(
             ["describe", "--manifest", str(manifest), "--out", str(tmp_path / "out")]
         )
-        (actions, plan), peak = traced_peak(lambda: _load_actions(args))
+        actions, peak = traced_peak(lambda: _load_actions(args))
         assert peak < pool_held_once(24, 400, 20)
-        assert plan is None
         expected = butterworth_filter(load_dataset(manifest), FilterSpec())
         assert [a.samples.tobytes() for a in actions] == [a.samples.tobytes() for a in expected]
 
@@ -757,6 +776,35 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert message in err
         assert "not found" not in err
+        assert not out.exists()
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this Python converts integers of any length")
+    def test_seed_past_the_digit_limit_names_the_limit(self, tmp_path, capsys):
+        limit = sys.get_int_max_str_digits()
+        seed = "9" * (limit + 700)
+        assert run("crossval", "--seed", seed, "--manifest", tmp_path / "nope.json", "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.endswith(
+            f"error: argument --seed: has {limit + 700} digits, more than Python converts to an integer "
+            f"(sys.get_int_max_str_digits() is {limit})\n"
+        )
+        assert "99999" not in err and "_seed" not in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["crossval", "--folds", 13, "--seed", 1], "fold count must be in [2, 12], got 13"),
+        (["sweep", "--folds", 13, "--seed", 1], "fold count must be in [2, 12], got 13"),
+        (["noise", "--folds", 13, "--seed", 1], "fold count must be in [2, 12], got 13"),
+        (["cross-subject", "--train-subjects", "nobody"], "unknown subject(s): nobody"),
+    ], ids=["crossval", "sweep", "noise", "cross-subject"])
+    def test_plan_is_checked_before_any_csv_is_parsed(self, tmp_path, capsys, argv, message):
+        config = SyntheticConfig(classes=3, per_class=4, subjects=1, joints=6, frames=30, seed=1)
+        manifest = save_dataset(*generate_synthetic(config), tmp_path / "data")
+        # a missing CSV, whose error would win once parsing began
+        (manifest.parent / json.loads(manifest.read_text())["entries"][4]["path"]).unlink()
+        out = tmp_path / "out"
+        assert run(*argv, "--manifest", manifest, "--jm", 3, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_negative_seed_rejected_before_gen_synth_writes(self, tmp_path, capsys):

@@ -1,7 +1,9 @@
+import warnings
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from codemotion import (
     ActionMatrix,
@@ -21,7 +23,7 @@ from codemotion import (
     similarity_matrix,
 )
 from codemotion import evaluation
-from oracles import csm_score
+from oracles import csm_score, stratified_kfold as numpy_stratified_kfold
 
 from conftest import live_at_first_call, pool_held_once, random_action, traced_peak
 
@@ -136,6 +138,75 @@ class TestStratifiedKFold:
         for train, test in plan.folds:
             assert train.tolist() == sorted(set(range(len(labels))) - set(test.tolist()))
             assert train.dtype == test.dtype == np.intp
+
+
+# Python and numpy integer seeds, with the 32-bit word boundaries of SeedSequence's
+# entropy and more words than its pool of four
+SEEDS = st.one_of(
+    st.integers(0, 2**200),
+    st.sampled_from([2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**64 + 12345, 2**128]),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.integers(0, 2**31 - 1).map(np.int32),
+)
+
+
+class TestPinnedShuffle:
+    """The folds' shuffle is ``np.random.default_rng(seed).shuffle``, drawn without numpy.random."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=SEEDS, sizes=st.lists(st.integers(0, 600), min_size=1, max_size=3))
+    def test_equals_numpy_shuffle(self, seed, sizes):
+        rng = np.random.default_rng(seed)
+        shuffler = evaluation._Shuffler(seed)
+        # one generator for every shuffle, as for the classes of a plan: a
+        # 32-bit half left over by one shuffle starts the next
+        for n in sizes:
+            expected = np.arange(n)
+            rng.shuffle(expected)
+            items = list(range(n))
+            shuffler.shuffle(items)
+            assert items == expected.tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(labels=st.lists(st.sampled_from("abcde"), min_size=2, max_size=80), seed=SEEDS, data=st.data())
+    def test_plans_equal_the_numpy_oracle(self, labels, seed, data):
+        k = data.draw(st.integers(2, len(labels)), label="k")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # short classes warn on both sides
+            plan = SplitPlan.stratified_kfold(labels, k, seed)
+            expected = numpy_stratified_kfold(labels, k, seed)
+        assert [(train.tolist(), test.tolist()) for train, test in plan.folds] == [
+            (train.tolist(), test.tolist()) for train, test in expected
+        ]
+
+    @pytest.mark.parametrize("labels, k, seed, tests", [
+        (
+            [("walk", "run", "jump", "kick")[i % 4] for i in range(40)], 10, 2**64 + 12345,
+            [[2, 5, 24, 31], [21, 27, 28, 30], [13, 14, 19, 20], [8, 10, 15, 37], [7, 9, 18, 36],
+             [3, 16, 29, 34], [25, 32, 35, 38], [4, 11, 26, 33], [0, 1, 22, 23], [6, 12, 17, 39]],
+        ),
+        (
+            [f"c{i % 3}" for i in range(30)], 4, 7**90,
+            [[8, 9, 11, 14, 15, 18, 19, 25], [2, 3, 4, 5, 6, 10, 21, 29],
+             [7, 13, 17, 22, 24, 26, 27], [0, 1, 12, 16, 20, 23, 28]],
+        ),
+    ], ids=["10-fold-two-word-seed", "4-fold-eight-word-seed"])
+    def test_golden_plans(self, labels, k, seed, tests):
+        # drawn by numpy 2.4.6's Generator.shuffle; pinned so the folds stay
+        # put whatever numpy's generator does next
+        plan = SplitPlan.stratified_kfold(labels, k, seed)
+        assert [test.tolist() for _, test in plan.folds] == tests
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-1), -(2**70)], ids=["int", "numpy-int", "large"])
+    def test_negative_seed_is_a_value_error(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -"):
+            SplitPlan.stratified_kfold(["a", "b"], 2, seed)
+
+    @pytest.mark.parametrize("seed", [None, 1.0, "1", [1], np.array([1]), np.bool_(True)],
+                             ids=["none", "float", "str", "list", "array", "numpy-bool"])
+    def test_non_integer_seed_is_a_type_error(self, seed):
+        with pytest.raises(TypeError, match="seed must be a non-negative integer, got "):
+            SplitPlan.stratified_kfold(["a", "b"], 2, seed)
 
 
 class TestCrossSubject:
