@@ -28,7 +28,7 @@ from .ingest import (
     load_manifest,
     save_dataset,
 )
-from .similarity import FeatureSet, Metric, MetricSpec
+from .similarity import FeatureSet, Metric, MetricSpec, _parse_features, _parse_metric
 
 __all__ = ["main"]
 
@@ -48,7 +48,7 @@ def _add_filter_flags(parser) -> None:
     spec = FilterSpec()
     parser.add_argument("--filter-cutoff", type=float, default=spec.cutoff_hz, metavar="HZ",
                         help="low-pass cutoff frequency (default %(default)g)")
-    parser.add_argument("--filter-order", type=int, default=spec.order, metavar="N",
+    parser.add_argument("--filter-order", type=_integer(), default=spec.order, metavar="N",
                         help="Butterworth order (default %(default)g)")
     parser.add_argument("--no-filter", action="store_true",
                         help="skip the low-pass preprocessing step")
@@ -61,12 +61,7 @@ def _filter_spec(args) -> FilterSpec | None:
 
 
 def _load_actions(args):
-    """The filtered pool as an iterator.
-
-    The caller takes the iterator, so once it has described the actions it
-    holds the only reference and frees them before scoring; a list would stay
-    alive in this module's frames for the whole call.
-    """
+    """The filtered pool as an iterator, so the caller holds the only reference and frees it once described."""
     spec = _filter_spec(args)
     # An iterator, not the list, so that this frame holds no reference once
     # the filter has taken the actions, and the filter can free each raw action
@@ -82,28 +77,25 @@ def _manifest_column(args, name: str) -> list[str]:
     return [getattr(entry, name) for entry in load_manifest(args.manifest).entries]
 
 
-def _seed(text: str) -> int:
-    """The value of ``--seed``: the seeded generators take a non-negative integer only."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    try:
-        return int(text)
-    except ValueError:  # past Python's digit limit; the digits themselves are not echoed
-        raise argparse.ArgumentTypeError(
-            f"has {len(text)} digits, more than Python converts to an integer "
-            f"(sys.get_int_max_str_digits() is {sys.get_int_max_str_digits()})"
-        ) from None
+def _integer(low: float = -math.inf):
+    """An integer flag's type: ASCII digits after an optional minus, and at least ``low``."""
+    # The CLI owns the bounds of --seed, --folds and --jm; the library checks the rest
+    # (FilterSpec's order, SyntheticConfig's fields) with its own messages.
+    wanted = {-math.inf: "an integer", 0: "a non-negative integer"}.get(low, f"an integer of at least {low}")
 
-
-def _at_least(low: int):
-    """An integer flag's type, with the lower bound that needs no data: ``--folds`` 2, ``--jm`` 1."""
     def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be an integer of at least {low}, got {text!r}")
+        digits = text.removeprefix("-")
+        try:  # no plus sign, space, underscore or non-ASCII digit, all of which int() reads
+            value = int(text) if digits.isascii() and digits.isdigit() else None
+        except ValueError:  # past Python's digit limit; the digits themselves are not echoed
+            raise argparse.ArgumentTypeError(
+                f"has {len(digits)} digits, more than Python converts to an integer "
+                f"(sys.get_int_max_str_digits() is {sys.get_int_max_str_digits()})"
+            ) from None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
         return value
 
-    parse.__name__ = "int"  # argparse names the type of a value int() rejects: "invalid int value"
     return parse
 
 
@@ -121,8 +113,19 @@ def _sigma(text: str) -> float:
     """One ``--sigmas`` value: a noise standard deviation in degrees."""
     value = float(text)
     if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"noise standard deviations must be finite and non-negative, got {text!r}")
+        raise argparse.ArgumentTypeError(f"noise standard deviations must be finite and non-negative, got {value}")
     return value + 0.0  # -0 becomes 0.0, so the noise CSV never reads -0.0
+
+
+def _flag(parse):
+    """A flag's type that fails the flag with the message of ``parse``'s ``ValueError``."""
+    def parse_flag(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:  # argparse.ArgumentTypeError passes through as it is
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse_flag
 
 
 def _list_of(parse=str):
@@ -130,13 +133,12 @@ def _list_of(parse=str):
 
     A value that ``parse`` rejects fails the flag with ``parse``'s own message.
     """
+    parse = _flag(parse)
+
     def parse_list(text: str) -> list:
         values = []
         for item in filter(None, map(str.strip, text.split(","))):
-            try:
-                value = parse(item)
-            except ValueError as exc:  # argparse.ArgumentTypeError passes through as it is
-                raise argparse.ArgumentTypeError(str(exc)) from None
+            value = parse(item)
             if value in values:
                 raise argparse.ArgumentTypeError(f"value {item!r} repeats an earlier value")
             values.append(value)
@@ -231,14 +233,14 @@ def _evaluate_split(args, plan_of, protocol):
     ``protocol`` holds the report keys of the plan's own kind; the plan's
     ``kind`` and the keys every plan shares are added here.
     """
-    spec = MetricSpec.parse(args.metric, args.features)
+    spec = MetricSpec(args.metric, args.features)
     plan = plan_of(args)
     report = evaluate(_load_actions(args), args.jm, spec, plan)
     protocol.update(
         kind=plan.kind,
         jm=args.jm,
-        metric=args.metric,
-        features=args.features,
+        metric=args.metric.value,
+        features=args.features.value,
         filter_cutoff_hz=None if args.no_filter else args.filter_cutoff,
     )
     _write_report(args, report, protocol)
@@ -249,14 +251,14 @@ def cmd_crossval(args) -> int:
     report = _evaluate_split(args, _kfold, {"folds": args.folds, "seed": args.seed})
     print(
         f"accuracy {report.accuracy_mean:.4f} +/- {report.accuracy_std:.4f} "
-        f"({args.folds}-fold, jm={args.jm}, {args.metric})"
+        f"({args.folds}-fold, jm={args.jm}, {args.metric.value})"
     )
     return 0
 
 
 def cmd_cross_subject(args) -> int:
     report = _evaluate_split(args, _cross_subject, {"train_subjects": args.train_subjects})
-    print(f"cross-subject accuracy {report.accuracy:.4f} (jm={args.jm}, {args.metric})")
+    print(f"cross-subject accuracy {report.accuracy:.4f} (jm={args.jm}, {args.metric.value})")
     return 0
 
 
@@ -294,7 +296,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_noise(args) -> int:
-    spec = MetricSpec.parse(args.metric, args.features)
+    spec = MetricSpec(args.metric, args.features)
     filter_spec = _filter_spec(args)
     sigmas = sorted(args.sigmas)
     plan = _kfold(args)
@@ -325,18 +327,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="codemotion", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def dataset_args(p, seed=False, metric=False, folds=False):
+    def dataset_args(p, seed=False, metric=False, folds=False, lists=False):
+        # sweep's --jm, --metric and --features take comma-separated lists of the values the others take one of
+        typed, more = (_list_of, "[,...]") if lists else (_flag, "")
         p.add_argument("--manifest", required=True, metavar="PATH", help="dataset manifest JSON")
-        p.add_argument("--jm", type=_at_least(1), default=20, metavar="N",
-                       help="number of most informative joints (default 20)")
+        p.add_argument("--jm", type=typed(_integer(1)), default="5,10,20" if lists else 20, metavar="N" + more,
+                       help="number of most informative joints (default %(default)s)")
         _add_filter_flags(p)
         if metric:
-            p.add_argument("--metric", default="csm", choices=[m.value for m in Metric])
-            p.add_argument("--features", default="full", choices=[f.value for f in FeatureSet])
+            p.add_argument("--metric", type=typed(_parse_metric), metavar="NAME" + more,
+                           default=",".join(m.value for m in Metric) if lists else "csm",
+                           help=f"one of {', '.join(m.value for m in Metric)} (default %(default)s)")
+            p.add_argument("--features", type=typed(_parse_features), metavar="NAME" + more,
+                           default=",".join(f.value for f in FeatureSet) if lists else "full",
+                           help=f"one of {', '.join(f.value for f in FeatureSet)} (default %(default)s)")
         if folds:
-            p.add_argument("--folds", type=_at_least(2), default=10, metavar="K")
+            p.add_argument("--folds", type=_integer(2), default=10, metavar="K")
         if seed:
-            p.add_argument("--seed", type=_seed, required=True, metavar="N",
+            p.add_argument("--seed", type=_integer(0), required=True, metavar="N",
                            help="required: all randomness is explicit")
 
     p = sub.add_parser("describe", help="write one descriptor JSON per action plus a summary")
@@ -359,18 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cross_subject)
 
     p = sub.add_parser("sweep", help="accuracy over MIJ counts and metrics")
-    p.add_argument("--manifest", required=True, metavar="PATH")
-    p.add_argument("--jm", type=_list_of(_at_least(1)), default="5,10,20", metavar="LIST",
-                   help="comma-separated MIJ counts (default 5,10,20)")
-    # MetricSpec.parse names the values it accepts when it rejects one.
-    p.add_argument("--metric", type=_list_of(lambda text: MetricSpec.parse(text).kind),
-                   default=",".join(m.value for m in Metric), metavar="LIST", help="comma-separated metrics")
-    p.add_argument("--features", type=_list_of(lambda text: MetricSpec.parse("euclidean", text).features),
-                   default=",".join(f.value for f in FeatureSet), metavar="LIST",
-                   help="comma-separated feature sets for the baseline metrics")
-    p.add_argument("--folds", type=_at_least(2), default=10, metavar="K")
-    p.add_argument("--seed", type=_seed, required=True, metavar="N")
-    _add_filter_flags(p)
+    dataset_args(p, seed=True, metric=True, folds=True, lists=True)
     p.add_argument("--out", required=True, metavar="PATH")
     p.set_defaults(func=cmd_sweep)
 
@@ -386,14 +383,14 @@ def build_parser() -> argparse.ArgumentParser:
     # No defaults here: SyntheticConfig supplies each one for a flag left unset.
     p = sub.add_parser("gen-synth", help="generate a synthetic coordinated-motion dataset",
                        argument_default=argparse.SUPPRESS)
-    p.add_argument("--classes", type=int, required=True, metavar="N")
-    p.add_argument("--per-class", type=int, required=True, metavar="N")
-    p.add_argument("--subjects", type=int, required=True, metavar="N")
-    p.add_argument("--joints", type=int, metavar="N")
-    p.add_argument("--frames", type=int, metavar="N")
+    p.add_argument("--classes", type=_integer(), required=True, metavar="N")
+    p.add_argument("--per-class", type=_integer(), required=True, metavar="N")
+    p.add_argument("--subjects", type=_integer(), required=True, metavar="N")
+    p.add_argument("--joints", type=_integer(), metavar="N")
+    p.add_argument("--frames", type=_integer(), metavar="N")
     p.add_argument("--frame-rate", type=float, metavar="HZ")
-    p.add_argument("--seed", type=_seed, required=True, metavar="N")
-    p.add_argument("--active-joints", dest="active_per_class", type=int, metavar="N",
+    p.add_argument("--seed", type=_integer(0), required=True, metavar="N")
+    p.add_argument("--active-joints", dest="active_per_class", type=_integer(), metavar="N",
                    help="active joints per class (default joints // 5, at least 2)")
     p.add_argument("--amplitude", dest="amplitude_deg", type=float, metavar="DEG",
                    help="sinusoid amplitude in degrees")

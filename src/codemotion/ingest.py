@@ -89,9 +89,12 @@ def _write_json(path, payload) -> None:
 def load_manifest(path) -> DatasetManifest:
     """Parse and validate a manifest JSON file."""
     path = Path(path)
-    if not path.exists():
-        raise DatasetError(f"{path}: manifest file not found")
-    text = _read_text(path)
+    try:
+        text = _read_text(path)
+    except (FileNotFoundError, NotADirectoryError):  # no such file, or a file on its path
+        raise DatasetError(f"{path}: manifest file not found") from None
+    except OSError as exc:  # a directory, say, or a file this process may not read
+        raise DatasetError(f"{path}: {exc.strerror}") from None
     try:
         payload = json.loads(text)
     except ValueError as exc:  # also an integer past int()'s digit limit

@@ -58,17 +58,23 @@ class MetricSpec:
 
     @staticmethod
     def parse(kind: str, features: str = "full") -> "MetricSpec":
+        return MetricSpec(_parse_metric(kind), _parse_features(features))
+
+
+def _name_parser(names: type[Enum], noun: str):
+    """The one parser of ``names``' values; an unknown one fails naming every value it accepts."""
+    def parse(text: str):
         try:
-            metric = Metric(kind)
+            return names(text)
         except ValueError:
-            names = ", ".join(m.value for m in Metric)
-            raise ValueError(f"unknown metric {kind!r}; expected one of {names}") from None
-        try:
-            feats = FeatureSet(features)
-        except ValueError:
-            names = ", ".join(f.value for f in FeatureSet)
-            raise ValueError(f"unknown feature set {features!r}; expected one of {names}") from None
-        return MetricSpec(metric, feats)
+            known = ", ".join(name.value for name in names)
+            raise ValueError(f"unknown {noun} {text!r}; expected one of {known}") from None
+
+    return parse
+
+
+_parse_metric = _name_parser(Metric, "metric")
+_parse_features = _name_parser(FeatureSet, "feature set")
 
 
 def csm(a: CodeDescriptor, b: CodeDescriptor) -> float:

@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import json
 import os
@@ -790,6 +791,68 @@ class TestExitCodes:
             f"(sys.get_int_max_str_digits() is {limit})\n"
         )
         assert "99999" not in err and "_seed" not in err
+
+    # Every integer flag of every command, with the other flags that command requires
+    INTEGER_FLAGS = [
+        *(("describe", flag, []) for flag in ("--jm", "--filter-order")),
+        *(("cross-subject", flag, ["--train-subjects", "s0"]) for flag in ("--jm", "--filter-order")),
+        *((command, flag, ["--seed", 1])
+          for command in ("crossval", "sweep", "noise") for flag in ("--jm", "--filter-order", "--folds", "--seed")),
+        *(("gen-synth", flag, ["--classes", 2, "--per-class", 2, "--subjects", 1, "--seed", 1])
+          for flag in ("--classes", "--per-class", "--subjects", "--joints", "--frames", "--active-joints", "--seed")),
+    ]
+
+    def run_flag(self, tmp_path, command, base, flag, value):
+        """Exit code of ``command`` with ``flag value`` after ``base``; no file may be read or written."""
+        out = tmp_path / "out"
+        paths = ["--out-dir", out] if command == "gen-synth" else ["--manifest", tmp_path / "nope.json", "--out", out]
+        code = run(command, *base, *paths, flag, value)
+        assert not out.exists()
+        return code
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this Python converts integers of any length")
+    @pytest.mark.parametrize("command, flag, base", INTEGER_FLAGS, ids=lambda v: v if isinstance(v, str) else "")
+    def test_integer_past_the_digit_limit_is_one_short_line(self, tmp_path, capsys, command, flag, base):
+        assert self.run_flag(tmp_path, command, base, flag, "9" * 5000) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err.encode()) < 300
+        assert err.endswith(
+            f"error: argument {flag}: has 5000 digits, more than Python converts to an integer "
+            f"(sys.get_int_max_str_digits() is {sys.get_int_max_str_digits()})\n"
+        )
+
+    @pytest.mark.parametrize("value", ["+3", " 3", "1_0", "\u0663"], ids=["plus", "space", "underscore", "arabic-indic"])
+    @pytest.mark.parametrize("command, flag, base", INTEGER_FLAGS, ids=lambda v: v if isinstance(v, str) else "")
+    def test_integer_is_ascii_digits_only(self, tmp_path, capsys, command, flag, base, value):
+        if (command, flag, value) == ("sweep", "--jm", " 3"):
+            value = "5, 3,+3"  # a list drops the blanks around its items, so its item ' 3' reads 3 and '+3' fails
+        assert self.run_flag(tmp_path, command, base, flag, value) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"error: argument {flag}: must be " in err and err.endswith(f", got {value.split(',')[-1]!r}\n")
+
+    def test_long_sigma_is_not_echoed(self, tmp_path, capsys):
+        assert self.run_flag(tmp_path, "noise", ["--seed", 1], "--sigmas", "9" * 5000) == 1
+        err = capsys.readouterr().err
+        assert err.endswith("error: argument --sigmas: noise standard deviations must be finite and non-negative, got inf\n")
+        assert err.count("\n") == 1 and "99999" not in err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--metric", "cosine", "unknown metric 'cosine'; expected one of csm, euclidean, manhattan"),
+        ("--features", "all", "unknown feature set 'all'; expected one of var, var-vel, full"),
+    ], ids=["metric", "features"])
+    def test_every_command_names_an_unknown_metric_or_feature_set_alike(self, tmp_path, capsys, flag, value, message):
+        for command, base in (("crossval", ["--seed", 1]), ("cross-subject", ["--train-subjects", "s0"]),
+                              ("noise", ["--seed", 1]), ("sweep", ["--seed", 1])):
+            assert self.run_flag(tmp_path, command, base, flag, value) == 1
+            assert capsys.readouterr().err == f"codemotion {command}: error: argument {flag}: {message}\n"
+
+    def test_manifest_directory_names_itself(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("crossval", "--manifest", tmp_path, "--seed", 1, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {tmp_path}: {os.strerror(errno.EISDIR)}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
         (["crossval", "--folds", 13, "--seed", 1], "fold count must be in [2, 12], got 13"),

@@ -1,5 +1,6 @@
 import codecs
 import dataclasses
+import errno
 import json
 import math
 import multiprocessing
@@ -337,6 +338,15 @@ class TestLoadDataset:
         for load in (load_manifest, load_dataset):
             with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
                 load(manifest)
+
+    def test_unreadable_manifest_names_itself(self, tmp_path):
+        # a directory fails with its reason; a path through a regular file as a missing manifest does
+        (tmp_path / "file").write_text("")
+        for manifest, reason in ((tmp_path, os.strerror(errno.EISDIR)),
+                                 (tmp_path / "file" / "manifest.json", "manifest file not found")):
+            for load in (load_manifest, load_dataset):
+                with pytest.raises(DatasetError, match=f"^{re.escape(f'{manifest}: {reason}')}$"):
+                    load(manifest)
 
     def test_file_under_a_file_is_not_found(self, tmp_path, cpus):
         # a path through a regular file fails as a missing file does, pooled and in-process
