@@ -24,25 +24,27 @@ def lowpass_sos(order: int, cutoff_hz: float, fs: float) -> np.ndarray:
         raise ValueError(f"cutoff {cutoff_hz} Hz must stay below the Nyquist frequency {nyquist} Hz "
                          f"of a {fs} Hz recording")
     wn = np.asarray(cutoff_hz, dtype=np.float64) / nyquist
-    with np.errstate(all="ignore"):  # a design float64 cannot hold is rejected below, not warned about
-        # buttap: poles on the unit circle's left half; the middle one exactly real
-        m = np.arange(-order + 1, order, 2, dtype=np.float64)
-        p = -np.exp(1j * np.pi * m / (2 * order))
-        # lp2lp_zpk to the pre-warped cutoff, at scipy's fs = 2 normalization
+    too_high = (f"order {order} is too high for a {cutoff_hz} Hz low-pass of a {fs} Hz recording: "
+                "its design overflows or underflows float64")
+    with np.errstate(all="ignore"):  # a design float64 cannot hold is rejected, not warned about
+        # lp2lp_zpk's pre-warped cutoff, at scipy's fs = 2 normalization, and its gain
         wo = float(2 * 2.0 * np.tan(np.pi * wn / 2.0))
-        p = wo * p
         try:
             k = 1.0 * wo**order
         except OverflowError:  # a Python float's power raises where numpy's gives inf
             k = np.inf
+        if not 0 < k < np.inf:  # judged before the order's poles are built, which a huge order cannot hold
+            raise ValueError(too_high)
+        # buttap: poles on the unit circle's left half; the middle one exactly real
+        m = np.arange(-order + 1, order, 2, dtype=np.float64)
+        p = wo * -np.exp(1j * np.pi * m / (2 * order))
         # bilinear_zpk: the zeros at infinity move to -1 (Nyquist)
         fs2 = 2.0 * 2.0
         k = k * np.real(1.0 / np.prod(fs2 - p))  # the numerator is the product over no zeros
         p = (fs2 + p) / (fs2 - p)
         sos = _zpk2sos(p, k)
     if not (np.isfinite(sos).all() and sos[0, 0] != 0):  # the gain underflowed to 0, or a product overflowed
-        raise ValueError(f"order {order} is too high for a {cutoff_hz} Hz low-pass of a {fs} Hz recording: "
-                         "its design overflows or underflows float64")
+        raise ValueError(too_high)
     return sos
 
 

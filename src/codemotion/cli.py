@@ -15,7 +15,7 @@ from pathlib import Path
 # mij_sweep on this module, and binds evaluate's ``plan`` and mij_sweep's
 # ``jm_values``, ``specs`` and ``plan`` by name. So the commands call them as
 # module-level names, looked up at call time, with those parameter names.
-# ROADMAP item 2, which deletes the tracer, lifts this constraint.
+# ROADMAP item 4, which deletes the tracer, lifts this constraint.
 from .descriptor import _layout, stacked_length
 from .evaluation import SplitPlan, _describe, _pool, evaluate, mij_sweep, noise_sweep
 from .ingest import (
@@ -77,8 +77,11 @@ def _manifest_column(args, name: str) -> list[str]:
     return [getattr(entry, name) for entry in load_manifest(args.manifest).entries]
 
 
-def _integer(low: float = -math.inf):
-    """An integer flag's type: ASCII digits after an optional minus, and at least ``low``."""
+def _integer(low: float = -math.inf, bounded: bool = True):
+    """An integer flag's type: ASCII digits after an optional minus, and at least ``low``.
+
+    A ``bounded`` flag's magnitude is at most ``sys.maxsize``, numpy's index range; ``--seed`` alone is unbounded.
+    """
     # The CLI owns the bounds of --seed, --folds and --jm; the library checks the rest
     # (FilterSpec's order, SyntheticConfig's fields) with its own messages.
     wanted = {-math.inf: "an integer", 0: "a non-negative integer"}.get(low, f"an integer of at least {low}")
@@ -92,6 +95,10 @@ def _integer(low: float = -math.inf):
                 f"has {len(digits)} digits, more than Python converts to an integer "
                 f"(sys.get_int_max_str_digits() is {sys.get_int_max_str_digits()})"
             ) from None
+        if bounded and value is not None and abs(value) > sys.maxsize:  # nor are these digits
+            raise argparse.ArgumentTypeError(
+                f"has {len(digits)} digits, past numpy's index range (magnitude at most {sys.maxsize})"
+            )
         if value is None or value < low:
             raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
         return value
@@ -154,35 +161,25 @@ def _write_csv(path, header, rows) -> None:
         csv.writer(f, lineterminator="\n").writerows([header, *rows])
 
 
-def _write_confusion_csv(path, report) -> None:
-    header = ["true\\predicted"] + list(report.class_labels)
-    rows = [
-        [label] + [int(n) for n in row]
-        for label, row in zip(report.class_labels, report.confusion)
-    ]
-    _write_csv(path, header, rows)
-
-
 def _write_report(args, report, protocol) -> None:
+    """The ``--format`` report at ``--out`` and the confusion CSV beside it, all from one ``report.to_dict()``."""
     out = Path(args.out)
+    figures = report.to_dict()
     if args.format == "csv":
         rows = [
-            ("accuracy_overall", _fmt(report.accuracy)),
-            ("accuracy_mean", _fmt(report.accuracy_mean)),
-            ("accuracy_std", _fmt(report.accuracy_std)),
-            ("precision_macro", _fmt(report.macro_precision)),
-            ("precision_mean", _fmt(report.precision_mean)),
-            ("precision_std", _fmt(report.precision_std)),
-            ("recall_macro", _fmt(report.macro_recall)),
-            ("recall_mean", _fmt(report.recall_mean)),
-            ("recall_std", _fmt(report.recall_std)),
-            ("descriptor_time_s", _fmt(report.descriptor_time)),
-            ("classify_time_s", _fmt(report.classify_time)),
+            (f"{group}_{key}", _fmt(value))
+            for group in ("accuracy", "precision", "recall")
+            for key, value in figures[group].items()
+            if isinstance(value, float)  # not the per-fold and per-class figures
         ]
+        timing = figures["timing"]
+        rows += [("descriptor_time_s", _fmt(timing["descriptor_s"])), ("classify_time_s", _fmt(timing["classify_s"]))]
         _write_csv(out, ["metric", "value"], rows)
     else:
-        _write_json(out, {**report.to_dict(), "dataset": Path(args.manifest).stem, "protocol": protocol})
-    _write_confusion_csv(out.with_suffix(out.suffix + ".confusion.csv"), report)
+        _write_json(out, {**figures, "dataset": Path(args.manifest).stem, "protocol": protocol})
+    classes = figures["classes"]
+    _write_csv(out.with_suffix(out.suffix + ".confusion.csv"), ["true\\predicted", *classes],
+               [[label, *row] for label, row in zip(classes, figures["confusion"])])
 
 
 def _sanitize(name: str) -> str:
@@ -344,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         if folds:
             p.add_argument("--folds", type=_integer(2), default=10, metavar="K")
         if seed:
-            p.add_argument("--seed", type=_integer(0), required=True, metavar="N",
+            p.add_argument("--seed", type=_integer(0, bounded=False), required=True, metavar="N",
                            help="required: all randomness is explicit")
 
     p = sub.add_parser("describe", help="write one descriptor JSON per action plus a summary")
@@ -389,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--joints", type=_integer(), metavar="N")
     p.add_argument("--frames", type=_integer(), metavar="N")
     p.add_argument("--frame-rate", type=float, metavar="HZ")
-    p.add_argument("--seed", type=_integer(0), required=True, metavar="N")
+    p.add_argument("--seed", type=_integer(0, bounded=False), required=True, metavar="N")
     p.add_argument("--active-joints", dest="active_per_class", type=_integer(), metavar="N",
                    help="active joints per class (default joints // 5, at least 2)")
     p.add_argument("--amplitude", dest="amplitude_deg", type=float, metavar="DEG",

@@ -10,7 +10,7 @@ import numpy as np
 
 # perfbench/tracer.py replaces compute_descriptor and similarity_matrix on this
 # module, so they stay module-level names that are looked up at call time.
-# ROADMAP item 2, which deletes the tracer, lifts this constraint.
+# ROADMAP item 4, which deletes the tracer, lifts this constraint.
 from .descriptor import ActionMatrix, CodeDescriptor, compute_descriptor
 from .ingest import FilterSpec, butterworth_filter
 from .similarity import MetricSpec, similarity_matrix

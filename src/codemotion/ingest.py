@@ -14,7 +14,7 @@ import numbers
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -151,24 +151,20 @@ def _read_csv_matrix(path: Path) -> np.ndarray:
     """Parse one action CSV: comma-separated decimals, optional auto-detected header.
 
     A first row none of whose cells is numeric is a header. numpy reads the
-    other non-blank rows in one call. An error names the first bad line and,
-    on that line, a non-numeric cell before a non-finite value before a
-    changed column count. The text is read by ``_read_text``.
+    other non-blank rows in one call. If it cannot, or reads a non-finite
+    value, ``_first_fault`` names the line at fault. The text is read by
+    ``_read_text``.
     """
     numbered = [(n, line) for n, line in enumerate(_read_text(path).splitlines(), start=1) if line.strip()]
     if numbered and not any(_is_number(c) for c in numbered[0][1].split(",")):
         del numbered[0]
     if not numbered:
         raise DatasetError(f"{path}: no numeric rows")
-    try:
+    with suppress(ValueError):  # a non-numeric cell or a ragged row
         samples = _loadtxt(line for _, line in numbered)
-    except ValueError:  # a non-numeric cell or a ragged row
-        readable, fault = _scan_rows(path, numbered)
-        for block in filter(None, readable):
-            _check_finite(path, block, _loadtxt(line for _, line in block))
-        raise fault from None
-    _check_finite(path, numbered, samples)
-    return samples
+        if np.isfinite(samples).all():
+            return samples
+    raise _first_fault(path, numbered)
 
 
 def _loadtxt(lines) -> np.ndarray:
@@ -184,28 +180,25 @@ def _is_number(cell: str) -> bool:
         return False
 
 
-def _scan_rows(path: Path, numbered) -> tuple[list, DatasetError]:
-    """The error for the first line with a non-numeric cell or a changed column count.
+def _first_fault(path: Path, numbered) -> DatasetError:
+    """The error for the first of the lines ``numbered`` that numpy's one-call parse rejects.
 
-    With it come the lines whose non-finite values are named first, in blocks
-    numpy reads whole: those before it and, if its count changed, that line.
+    Each line in turn is checked for a non-numeric cell (numpy cannot read
+    the line on its own), then a non-finite value, then a column count other
+    than the first line's.
     """
     width = len(numbered[0][1].split(","))
-    for n, (line_no, line) in enumerate(numbered):
+    for line_no, line in numbered:
         cells = line.split(",")
-        bad = next((cell.strip() for cell in cells if not _is_number(cell)), None)
-        if bad is not None:
-            return [numbered[:n]], DatasetError(f"{path}, line {line_no}: non-numeric value {bad!r}")
+        try:
+            row = _loadtxt([line])
+        except ValueError:
+            bad = next(cell.strip() for cell in cells if not _is_number(cell))
+            return DatasetError(f"{path}, line {line_no}: non-numeric value {bad!r}")
+        if not np.isfinite(row).all():
+            return DatasetError(f"{path}, line {line_no}: non-finite value")
         if len(cells) != width:
-            message = f"{path}, line {line_no}: expected {width} columns, got {len(cells)}"
-            return [numbered[:n], numbered[n : n + 1]], DatasetError(message)
-
-
-def _check_finite(path: Path, numbered, samples: np.ndarray) -> None:
-    """Raise for the first of the lines ``numbered``, read as ``samples``, with a non-finite value."""
-    finite = np.isfinite(samples)
-    if not finite.all():
-        raise DatasetError(f"{path}, line {numbered[finite.all(axis=1).argmin()][0]}: non-finite value")
+            return DatasetError(f"{path}, line {line_no}: expected {width} columns, got {len(cells)}")
 
 
 # Files per task of a forked worker, both when parsing and when writing. A
@@ -522,6 +515,11 @@ class SyntheticConfig:
             raise ValueError(f"need at least 4 joints, got {self.joints}")
         if self.frames < 2:
             raise ValueError("need at least 2 frames")
+        # a product of Python ints, which cannot wrap as numpy's can
+        samples = math.prod(int(getattr(self, f)) for f in ("classes", "per_class", "subjects", "frames", "joints"))
+        if 8 * samples > np.iinfo(np.intp).max:
+            raise ValueError(f"classes * per_class * subjects * frames * joints float64 samples take more "
+                             f"than {np.iinfo(np.intp).max} bytes, past numpy's index range")
         if not 0 < self.frame_rate < math.inf:
             raise ValueError(f"frame_rate must be positive and finite, got {self.frame_rate!r}")
         if not 0 <= self.noise_deg < math.inf:

@@ -56,10 +56,6 @@ class MetricSpec:
         """CSM is a similarity (max wins); the baselines are distances (min wins)."""
         return self.kind is Metric.CSM
 
-    @staticmethod
-    def parse(kind: str, features: str = "full") -> "MetricSpec":
-        return MetricSpec(_parse_metric(kind), _parse_features(features))
-
 
 def _name_parser(names: type[Enum], noun: str):
     """The one parser of ``names``' values; an unknown one fails naming every value it accepts."""

@@ -574,6 +574,34 @@ class TestReportFiles:
         assert json.loads(out.read_text())["protocol"]["kind"] == kind
 
 
+    @pytest.mark.parametrize("argv", [
+        ["crossval", "--folds", 4, "--seed", 3],
+        ["cross-subject", "--train-subjects", "subject00"],
+    ], ids=["crossval", "cross-subject"])
+    def test_every_report_file_holds_the_json_reports_figures(self, synth_dir, tmp_path, argv):
+        base = [*argv, "--manifest", synth_dir / "manifest.json", "--jm", 3, "--metric", "manhattan"]
+        assert run(*base, "--out", tmp_path / "r.json") == 0
+        assert run(*base, "--out", tmp_path / "r.csv", "--format", "csv") == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        with open(tmp_path / "r.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        figures = [
+            (f"{group}_{key}", repr(report[group][key]))
+            for group, keys in (("accuracy", ("overall", "mean", "std")),
+                                ("precision", ("macro", "mean", "std")),
+                                ("recall", ("macro", "mean", "std")))
+            for key in keys
+        ]
+        assert [tuple(row) for row in rows[:-2]] == [("metric", "value"), *figures]
+        assert [row[0] for row in rows[-2:]] == ["descriptor_time_s", "classify_time_s"]
+        assert all(float(row[1]) >= 0 for row in rows[-2:])
+        confusion = [["true\\predicted", *report["classes"]]]
+        confusion += [[label, *map(str, row)] for label, row in zip(report["classes"], report["confusion"])]
+        for out in ("r.json", "r.csv"):
+            with open(tmp_path / f"{out}.confusion.csv", newline="") as f:
+                assert list(csv.reader(f)) == confusion
+
+
 class TestLoadActions:
     def test_loaded_pool_is_handed_to_the_filter(self, tmp_path, monkeypatch):
         # Parsed in this process, so tracemalloc sees every array. Keeping the
@@ -831,6 +859,53 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert f"error: argument {flag}: must be " in err and err.endswith(f", got {value.split(',')[-1]!r}\n")
+
+    @pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+    @pytest.mark.parametrize("command, flag, base", [case for case in INTEGER_FLAGS if case[1] != "--seed"],
+                             ids=lambda v: v if isinstance(v, str) else "")
+    def test_integer_past_numpys_index_range_is_one_short_line(self, tmp_path, capsys, command, flag, base, sign):
+        assert self.run_flag(tmp_path, command, base, flag, sign + "9" * 4000) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err.encode()) < 300
+        assert err.endswith(f"error: argument {flag}: has 4000 digits, past numpy's index range "
+                            f"(magnitude at most {sys.maxsize})\n")
+
+    @pytest.mark.parametrize("flag", ["--jm", "--filter-order", "--folds"])
+    def test_integer_at_numpys_index_range_parses(self, flag):
+        argv = ["crossval", "--manifest", "m.json", "--seed", "1", "--out", "r.json", flag]
+        args = build_parser().parse_args([*argv, str(sys.maxsize)])
+        assert vars(args)[flag[2:].replace("-", "_")] == sys.maxsize
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*argv, str(sys.maxsize + 1)])
+
+    @pytest.mark.parametrize("command", ["crossval", "gen-synth"])
+    def test_seed_takes_any_size(self, command):
+        argv = {"crossval": ["--manifest", "m.json", "--out", "r.json"],
+                "gen-synth": ["--classes", "2", "--per-class", "2", "--subjects", "1", "--out-dir", "d"]}[command]
+        assert build_parser().parse_args([command, *argv, "--seed", "9" * 4000]).seed == int("9" * 4000)
+
+    @pytest.mark.parametrize("flag", ["--classes", "--per-class", "--subjects", "--frames", "--joints"])
+    def test_gen_synth_past_numpys_index_range_names_the_fields(self, tmp_path, capsys, flag):
+        base = {"--classes": 2, "--per-class": 2, "--subjects": 1, flag: 9 * 10**18}
+        out = tmp_path / "synth"
+        assert run("gen-synth", *(item for pair in base.items() for item in pair), "--seed", 1, "--out-dir", out) == 1
+        assert capsys.readouterr().err == (
+            "error: classes * per_class * subjects * frames * joints float64 samples take more "
+            f"than {sys.maxsize} bytes, past numpy's index range\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("order", [10**8, 9 * 10**18])
+    @pytest.mark.parametrize("argv", [["crossval", "--folds", 4, "--seed", 1], ["describe"]], ids=["crossval", "describe"])
+    def test_huge_filter_order_is_named_before_any_action_is_filtered(self, synth_dir, tmp_path, capsys, argv, order):
+        out = tmp_path / "out"
+        assert run(*argv, "--manifest", synth_dir / "manifest.json", "--jm", 3, "--filter-order", order,
+                   "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: order {order} is too high for a 10.0 Hz low-pass of a 30.0 Hz recording: "
+            "its design overflows or underflows float64 (action 'c00_s00_r00')\n"
+        )
+        assert not out.exists()
 
     def test_long_sigma_is_not_echoed(self, tmp_path, capsys):
         assert self.run_flag(tmp_path, "noise", ["--seed", 1], "--sigmas", "9" * 5000) == 1

@@ -696,6 +696,16 @@ class TestButterworthFilter:
             butterworth_filter(pool, FilterSpec(cutoff_hz=cutoff, order=order))
         assert calls == []
 
+    @pytest.mark.parametrize("order, cutoff", [(10**8, 10.0), (9 * 10**18, 10.0), (10**8, 1.0)],
+                             ids=["gain-overflows", "int64-order", "gain-underflows"])
+    def test_huge_order_is_judged_before_its_poles_are_built(self, monkeypatch, order, cutoff):
+        # an order-N design holds N poles; arange is where they would be allocated
+        monkeypatch.setattr(np, "arange", lambda *args, **kwargs: pytest.fail("the poles were built"))
+        message = (f"order {order} is too high for a {cutoff} Hz low-pass of a 240.0 Hz recording: "
+                   "its design overflows or underflows float64")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lowpass_sos(order, cutoff, 240.0)
+
     def test_linearity(self, rng):
         a = random_action(rng, joints=3, frames=150, frame_rate=60.0)
         b = random_action(rng, joints=3, frames=150, frame_rate=60.0)
@@ -872,6 +882,25 @@ class TestGenerateSynthetic:
     def test_shape_fields_validated(self, fields, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             SyntheticConfig(classes=1, per_class=1, subjects=1, **fields)
+
+    SIZE_MESSAGE = ("classes * per_class * subjects * frames * joints float64 samples take more "
+                    f"than {np.iinfo(np.intp).max} bytes, past numpy's index range")
+
+    @pytest.mark.parametrize("field", ["classes", "per_class", "subjects", "frames", "joints"])
+    @pytest.mark.parametrize("value", [9 * 10**18, 10**20, np.int64(9 * 10**18)], ids=["int64", "past-int64", "numpy"])
+    def test_samples_past_numpys_index_range_are_rejected(self, field, value):
+        sizes = {"classes": 1, "per_class": 1, "subjects": 1, field: value}
+        with pytest.raises(ValueError, match=f"^{re.escape(self.SIZE_MESSAGE)}$"):
+            SyntheticConfig(**sizes)
+
+    def test_sample_count_is_multiplied_without_wrapping(self):
+        # 2**16 * 2**16 * 2**16 * 2**16 * 4 * 8 bytes is 2**69; int64 arithmetic would wrap it to 0
+        sizes = {name: np.int64(2**16) for name in ("classes", "per_class", "subjects", "frames")}
+        with pytest.raises(ValueError, match=f"^{re.escape(self.SIZE_MESSAGE)}$"):
+            SyntheticConfig(joints=4, **sizes)
+
+    def test_samples_at_numpys_index_range_pass(self):
+        SyntheticConfig(classes=np.iinfo(np.intp).max // (8 * 2 * 4), per_class=1, subjects=1, frames=2, joints=4)
 
     def test_zero_noise_and_negative_amplitude_accepted(self):
         SyntheticConfig(classes=1, per_class=1, subjects=1, noise_deg=0.0, amplitude_deg=-5.0)

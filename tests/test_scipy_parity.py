@@ -14,7 +14,9 @@ from scipy.spatial.distance import cdist
 
 from codemotion import (
     ActionMatrix,
+    FeatureSet,
     FilterSpec,
+    Metric,
     MetricSpec,
     SyntheticConfig,
     butterworth_filter,
@@ -208,5 +210,5 @@ def test_baseline_distances_match_cdist(sweep_actions, jm, metric, scipy_metric,
         return np.stack([np.concatenate([getattr(d, name) for name in names]) for d in ds])
 
     expected = cdist(stacked(queries), stacked(references), metric=scipy_metric)
-    got = similarity_matrix(queries, references, MetricSpec.parse(metric, features))
+    got = similarity_matrix(queries, references, MetricSpec(Metric(metric), FeatureSet(features)))
     assert np.array_equal(got, expected)

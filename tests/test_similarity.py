@@ -59,17 +59,17 @@ class TestMetricSpec:
             MetricSpec(Metric.CSM, FeatureSet.VARIANCE)
 
     def test_parse(self):
-        spec = MetricSpec.parse("manhattan", "var-vel")
+        spec = MetricSpec(similarity._parse_metric("manhattan"), similarity._parse_features("var-vel"))
         assert spec.kind is Metric.MANHATTAN
         assert spec.features is FeatureSet.VARIANCE_VELOCITY
         assert not spec.higher_is_better
-        assert MetricSpec.parse("csm").higher_is_better
+        assert MetricSpec(similarity._parse_metric("csm")).higher_is_better
 
     def test_parse_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown metric"):
-            MetricSpec.parse("cosine")
-        with pytest.raises(ValueError, match="unknown feature set"):
-            MetricSpec.parse("euclidean", "everything")
+        with pytest.raises(ValueError, match="^unknown metric 'cosine'; expected one of csm, euclidean, manhattan$"):
+            similarity._parse_metric("cosine")
+        with pytest.raises(ValueError, match="^unknown feature set 'everything'; expected one of var, var-vel, full$"):
+            similarity._parse_features("everything")
 
 
 class TestCsm:
