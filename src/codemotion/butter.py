@@ -1,22 +1,36 @@
 """Digital low-pass Butterworth design as second-order sections, in numpy.
 
-A port of the chain that ``scipy.signal.butter(N, Wn, output="sos")`` runs
-for a digital low-pass: ``buttap``, ``lp2lp_zpk`` at the fs = 2 pre-warp,
-``bilinear_zpk`` and ``zpk2sos`` with ``'nearest'`` pairing, plus
-``sosfilt_zi``. Each step keeps scipy's numpy operations in scipy's order,
-so sections and initial states equal scipy 1.17.1's bit for bit; the
-tests check that against scipy itself.
+``lowpass_sos`` gives what ``scipy.signal.butter(N, Wn, output="sos")``
+gives for a digital low-pass. The poles and the gain follow scipy's
+``buttap``, ``lp2lp_zpk`` at the fs = 2 pre-warp and ``bilinear_zpk``,
+with scipy's numpy operations in scipy's order. The sections are built in
+closed form, in the order ``zpk2sos``'s ``'nearest'`` pairing puts them.
+``sosfilt_zi`` is scipy's. Sections and initial states equal scipy 1.17.1's
+byte for byte; the tests check that against scipy itself.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
 __all__ = ["lowpass_sos", "sosfilt_zi"]
 
 
+def checked_order(order) -> int:
+    """A filter order as an ``int``: a whole number, at least 1, and not a bool; ``ValueError`` otherwise."""
+    whole = isinstance(order, numbers.Integral) or (isinstance(order, float) and order.is_integer())
+    if isinstance(order, bool) or not whole:
+        raise ValueError(f"order must be a whole number, got {order!r}")
+    if order < 1:
+        raise ValueError(f"order must be at least 1, got {order!r}")
+    return int(order)
+
+
 def lowpass_sos(order: int, cutoff_hz: float, fs: float) -> np.ndarray:
     """Sections (n, 6) of an order-``order`` low-pass at ``cutoff_hz`` for ``fs`` samples/s; ``ValueError`` if none."""
+    order = checked_order(order)
     nyquist = float(fs) / 2
     if not cutoff_hz > 0:
         raise ValueError(f"cutoff {cutoff_hz} Hz must be positive")
@@ -42,76 +56,33 @@ def lowpass_sos(order: int, cutoff_hz: float, fs: float) -> np.ndarray:
         fs2 = 2.0 * 2.0
         k = k * np.real(1.0 / np.prod(fs2 - p))  # the numerator is the product over no zeros
         p = (fs2 + p) / (fs2 - p)
-        sos = _zpk2sos(p, k)
+        # zpk2sos's 'nearest' pairing: each conjugate pair, by its pole above the
+        # real axis, over two zeros at -1, the pair nearest the unit circle last
+        # (a stable ascending sort, reversed, breaks ties as zpk2sos's argmin
+        # loop does). 0.0 - 2 Re p, not -2 Re p: a pair on the imaginary axis
+        # (a cutoff of fs/4) gives +0.0 there, as scipy's does.
+        pairs = p[m < 0]
+        pairs = pairs[np.argsort(np.abs(1 - np.abs(pairs)), kind="stable")[::-1]]
+        odd = order % 2
+        sos = np.zeros(((order + 1) // 2, 6))
+        sos[:, :4] = [1.0, 2.0, 1.0, 1.0]
+        sos[odd:, 4] = 0.0 - 2 * pairs.real
+        sos[odd:, 5] = pairs.real * pairs.real + pairs.imag * pairs.imag
+        if odd:
+            # The real pole, padded with a pole at 0, is farthest from the unit
+            # circle: for a fixed |s|, |z| falls as the analog damping grows, and
+            # the real pole's is the largest. So it takes section 0. The zero at
+            # 0 that pads it replaces a -1 in the last section whose pole is
+            # nearer 0 than -1, or in section 0 if none is.
+            real_pole = p[m == 0]
+            sos[0, 4] = -real_pole.real[0]
+            poles = np.concatenate((real_pole, pairs))
+            nearer_0 = np.flatnonzero(np.abs(poles) < np.abs(1 + poles))
+            sos[nearer_0[-1] if len(nearer_0) else 0, 1:3] = [1.0, 0.0]
+        sos[0, :3] *= k
     if not (np.isfinite(sos).all() and sos[0, 0] != 0):  # the gain underflowed to 0, or a product overflowed
         raise ValueError(too_high)
     return sos
-
-
-def _zpk2sos(p, k) -> np.ndarray:
-    """scipy's ``zpk2sos(z, p, k)`` with ``'nearest'`` pairing, for a low-pass's poles.
-
-    The zeros are all at -1, plus, for an odd order, one zero and one pole at
-    0 that pad to whole sections; scipy's ``_cplxreal`` sorts the zeros to
-    exactly that order. With every zero real and the real poles in twos (none,
-    or the real Butterworth pole and the one at 0), scipy's pairing only ever
-    takes its branch that pairs two poles with the two nearest zeros.
-    """
-    n_sections = (len(p) + 1) // 2
-    z = -np.ones(len(p))
-    if len(p) % 2 == 1:
-        p = np.concatenate((p, [0.0]))
-        z = np.concatenate((z, [0.0]))
-    p = np.concatenate(_cplxreal(p))
-    sos = np.zeros((n_sections, 6))
-    for si in range(n_sections - 1, -1, -1):
-        # the pole nearest the unit circle first
-        p1_idx = np.argmin(np.abs(1 - np.abs(p)))
-        p1 = p[p1_idx]
-        p = np.delete(p, p1_idx)
-        if np.isreal(p1):
-            prealidx = np.flatnonzero(np.isreal(p))
-            p2_idx = prealidx[np.argmin(np.abs(1 - np.abs(p[prealidx])))]
-            p2 = p[p2_idx]
-            p = np.delete(p, p2_idx)
-        else:
-            p2 = p1.conj()
-        z1_idx = np.argsort(np.abs(z - p1))[0]
-        z1 = z[z1_idx]
-        z = np.delete(z, z1_idx)
-        z2_idx = np.argsort(np.abs(z - p1))[0]
-        z2 = z[z2_idx]
-        z = np.delete(z, z2_idx)
-        sos[si, :3] = _poly(np.asarray([z1, z2]))
-        sos[si, 3:] = np.real(_poly(np.asarray([p1, p2])))
-    sos[0, :3] *= k
-    return sos
-
-
-def _cplxreal(z):
-    """scipy's ``_cplxreal`` for a low-pass's poles: (one of each conjugate pair, the real ones), sorted.
-
-    Butterworth poles come in exact conjugate pairs with distinct real parts,
-    so scipy's re-sorting of runs with equal real parts and its check for
-    unmatched conjugates never act; they are left out.
-    """
-    tol = 100 * np.finfo(np.float64).eps
-    z = z[np.lexsort((abs(z.imag), z.real))]
-    real_indices = abs(z.imag) <= tol * abs(z)
-    zr = z[real_indices].real
-    if len(zr) == len(z):
-        return np.array([]), zr
-    z = z[~real_indices]
-    return (z[z.imag > 0] + z[z.imag < 0].conj()) / 2, zr
-
-
-def _poly(roots: np.ndarray) -> np.ndarray:
-    """Monic polynomial with these roots, built by convolution as scipy's ``poly`` does."""
-    a = np.ones((1,), dtype=roots.dtype)
-    one = np.ones_like(roots[0])
-    for root in roots:
-        a = np.convolve(a, np.stack((one, -root)), mode="full")
-    return a
 
 
 def sosfilt_zi(sos: np.ndarray) -> np.ndarray:

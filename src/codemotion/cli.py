@@ -100,7 +100,9 @@ def _integer(low: float = -math.inf, bounded: bool = True):
                 f"has {len(digits)} digits, past numpy's index range (magnitude at most {sys.maxsize})"
             )
         if value is None or value < low:
-            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
+            long = value is not None and -value > sys.maxsize  # only --seed's, which is unbounded; not echoed
+            got = f"a negative integer of {len(digits)} digits" if long else repr(text)
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {got}")
         return value
 
     return parse

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
-import numbers
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -22,7 +21,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .butter import lowpass_sos, sosfilt_zi
+from .butter import checked_order, lowpass_sos, sosfilt_zi
 from .descriptor import ActionMatrix
 
 __all__ = [
@@ -329,13 +328,7 @@ class FilterSpec:
             raise ValueError(f"cutoff_hz must be positive, got {self.cutoff_hz!r}")
         if not self.cutoff_hz < math.inf:  # inf or NaN
             raise ValueError(f"cutoff_hz must be finite, got {self.cutoff_hz!r}")
-        order = self.order
-        whole = isinstance(order, numbers.Integral) or (isinstance(order, float) and order.is_integer())
-        if isinstance(order, bool) or not whole:
-            raise ValueError(f"order must be a whole number, got {order!r}")
-        if order < 1:
-            raise ValueError(f"order must be at least 1, got {order!r}")
-        object.__setattr__(self, "order", int(order))
+        object.__setattr__(self, "order", checked_order(self.order))
 
 
 # Buffer elements, rows by columns of float64, that the filter fills, filters

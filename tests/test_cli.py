@@ -870,6 +870,15 @@ class TestExitCodes:
         assert err.endswith(f"error: argument {flag}: has 4000 digits, past numpy's index range "
                             f"(magnitude at most {sys.maxsize})\n")
 
+    @pytest.mark.parametrize("command, flag, base", [case for case in INTEGER_FLAGS if case[1] == "--seed"],
+                             ids=lambda v: v if isinstance(v, str) else "")
+    def test_negative_seed_past_numpys_index_range_is_one_short_line(self, tmp_path, capsys, command, flag, base):
+        assert self.run_flag(tmp_path, command, base, flag, "-" + "9" * 4000) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err.encode()) < 300
+        assert err.endswith("error: argument --seed: must be a non-negative integer, "
+                            "got a negative integer of 4000 digits\n")
+
     @pytest.mark.parametrize("flag", ["--jm", "--filter-order", "--folds"])
     def test_integer_at_numpys_index_range_parses(self, flag):
         argv = ["crossval", "--manifest", "m.json", "--seed", "1", "--out", "r.json", flag]

@@ -685,6 +685,16 @@ class TestButterworthFilter:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             lowpass_sos(2, cutoff, 30.0)
 
+    @pytest.mark.parametrize("order, message", [
+        (0, "order must be at least 1, got 0"),
+        (-3, "order must be at least 1, got -3"),
+        (2.5, "order must be a whole number, got 2.5"),
+        (True, "order must be a whole number, got True"),
+    ], ids=["zero", "negative", "fraction", "bool"])
+    def test_design_rejects_an_order_as_filterspec_does(self, order, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lowpass_sos(order, 10.0, 30.0)
+
     @pytest.mark.parametrize("order, cutoff", [(250, 110.0), (520, 10.0), (400, 1.0)],
                              ids=["gain-overflows", "section-not-finite", "gain-underflows"])
     def test_unbuildable_design_names_the_action_before_any_is_filtered(self, rng, monkeypatch, order, cutoff):

@@ -1,7 +1,8 @@
 """Bit-equality of the numpy filter design, zero-phase filter and baseline distances with scipy.
 
 scipy is a test-only dependency: it is the oracle the numpy ports must
-match exactly (``np.array_equal``, no tolerance).
+match exactly: the filter design byte for byte (``tobytes()``, which tells
+-0.0 from +0.0), the filtered samples and distances by ``np.array_equal``.
 """
 
 import itertools
@@ -37,6 +38,11 @@ DESIGN_GRID = [
 ]
 
 
+def _same_bytes(ours, theirs):
+    """Equal shapes, dtypes and bytes: unlike ``np.array_equal``, -0.0 and +0.0 differ."""
+    return (ours.shape, ours.dtype, ours.tobytes()) == (theirs.shape, theirs.dtype, theirs.tobytes())
+
+
 def test_design_grid_covers_every_order_and_rate():
     assert len(DESIGN_GRID) == 680
     assert {o for o, _, _ in DESIGN_GRID} == set(ORDERS)
@@ -48,8 +54,8 @@ def test_design_matches_scipy_butter(order):
     for _, cutoff, fs in (config for config in DESIGN_GRID if config[0] == order):
         expected = signal.butter(order, cutoff, btype="low", fs=fs, output="sos")
         sos = lowpass_sos(order, cutoff, fs)
-        assert np.array_equal(sos, expected), (order, cutoff, fs)
-        assert np.array_equal(sosfilt_zi(sos), signal.sosfilt_zi(expected)), (order, cutoff, fs)
+        assert _same_bytes(sos, expected), (order, cutoff, fs)
+        assert _same_bytes(sosfilt_zi(sos), signal.sosfilt_zi(expected)), (order, cutoff, fs)
 
 
 def _walk(rng, frames, joints):
@@ -106,8 +112,8 @@ def test_high_order_design_matches_scipy_or_is_rejected(order, cutoff, fs):
             lowpass_sos(order, cutoff, fs)
         return
     sos = lowpass_sos(order, cutoff, fs)
-    assert np.array_equal(sos, expected)
-    assert np.array_equal(sosfilt_zi(sos), signal.sosfilt_zi(expected))
+    assert _same_bytes(sos, expected)
+    assert _same_bytes(sosfilt_zi(sos), signal.sosfilt_zi(expected))
     pool = [action for action in _mixed_pool(order) if action.frame_rate == fs]
     spec = FilterSpec(cutoff_hz=cutoff, order=order)
     _assert_matches_sosfiltfilt(pool, butterworth_filter(pool, spec), spec)
@@ -122,13 +128,46 @@ def test_high_order_design_matches_scipy_or_is_rejected(order, cutoff, fs):
 ])
 def test_lowest_order_float64_cannot_hold(fs, cutoff, lowest):
     sos = lowpass_sos(lowest - 1, cutoff, fs)
-    assert np.array_equal(sos, signal.butter(lowest - 1, cutoff, btype="low", fs=fs, output="sos"))
+    expected = signal.butter(lowest - 1, cutoff, btype="low", fs=fs, output="sos")
+    assert _same_bytes(sos, expected)
+    assert _same_bytes(sosfilt_zi(sos), signal.sosfilt_zi(expected))
     with np.errstate(all="ignore"):
         expected = signal.butter(lowest, cutoff, btype="low", fs=fs, output="sos")
     assert not (np.isfinite(expected).all() and expected[0, 0] != 0)
     message = f"order {lowest} is too high for a {cutoff} Hz low-pass of a {fs} Hz recording: "
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         lowpass_sos(lowest, cutoff, fs)
+
+
+# Orders 1 to 25 at every whole-Hz cutoff of a 30 and a 120 Hz recording. An
+# odd order's zero at 0 lands in the last section (order 3 at 10 Hz of 120 Hz),
+# in section 0 (order 3 at 45 Hz) or in one between (order 5 at 43 Hz), and
+# order 24 at 30 Hz, a quarter of the rate, has a pole pair on the imaginary
+# axis, whose a[1] scipy gives as +0.0.
+WHOLE_HZ_GRID = [(order, float(cutoff), fs)
+                 for fs in (30.0, 120.0) for cutoff in range(1, int(fs) // 2) for order in range(1, 26)]
+
+
+def test_whole_hz_design_matches_scipy_byte_for_byte():
+    for order, cutoff, fs in WHOLE_HZ_GRID:
+        expected = signal.butter(order, cutoff, btype="low", fs=fs, output="sos")
+        sos = lowpass_sos(order, cutoff, fs)
+        assert _same_bytes(sos, expected), (order, cutoff, fs)
+        assert _same_bytes(sosfilt_zi(sos), signal.sosfilt_zi(expected)), (order, cutoff, fs)
+
+
+def test_whole_hz_grid_puts_the_zero_at_0_in_every_place():
+    places = set()
+    for order, cutoff, fs in WHOLE_HZ_GRID:
+        if order % 2 and order > 1:
+            section = np.flatnonzero(lowpass_sos(order, cutoff, fs)[:, 2] == 0)[0]
+            places.add("first" if section == 0 else "last" if section == order // 2 else "middle")
+    assert places == {"first", "middle", "last"}
+    assert [np.flatnonzero(lowpass_sos(*config)[:, 2] == 0)[0]
+            for config in [(3, 10.0, 120.0), (3, 45.0, 120.0), (5, 43.0, 120.0)]] == [1, 0, 1]
+    assert (24, 30.0, 120.0) in WHOLE_HZ_GRID
+    a1 = lowpass_sos(24, 30.0, 120.0)[:, 4]
+    assert (a1 == 0).any() and not np.signbit(a1[a1 == 0]).any()
 
 
 def test_high_order_grid_reaches_past_float64_once():
