@@ -6,10 +6,6 @@ from .descriptor import (
     CodeDescriptor,
     DegenerateActionError,
     compute_descriptor,
-    extreme_velocities,
-    joint_variances,
-    pairwise_correlation,
-    rank_mij,
     stack_descriptor,
     stacked_length,
 )

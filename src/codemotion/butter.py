@@ -82,6 +82,15 @@ def lowpass_sos(order: int, cutoff_hz: float, fs: float) -> np.ndarray:
         sos[0, :3] *= k
     if not (np.isfinite(sos).all() and sos[0, 0] != 0):  # the gain underflowed to 0, or a product overflowed
         raise ValueError(too_high)
+    # A pole within rounding of z = 1 leaves a section with no steady state:
+    # sosfilt_zi's solve is singular, or its DC gain divides by 1 + a1 + a2 = 0.
+    # So the design is judged by the very solve the filter starts from.
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            sosfilt_zi(sos)
+    except (np.linalg.LinAlgError, FloatingPointError):
+        raise ValueError(f"cutoff {cutoff_hz} Hz is too low for an order-{order} low-pass of a {fs} Hz recording: "
+                         "a pole rounds to z = 1 in float64, so the filter has no steady state") from None
     return sos
 
 

@@ -21,6 +21,8 @@ from .evaluation import SplitPlan, _describe, _pool, evaluate, mij_sweep, noise_
 from .ingest import (
     FilterSpec,
     SyntheticConfig,
+    _decimal,
+    _shown,
     _write_json,
     butterworth_filter,
     generate_synthetic,
@@ -46,7 +48,7 @@ def _fmt(value: float) -> str:
 
 def _add_filter_flags(parser) -> None:
     spec = FilterSpec()
-    parser.add_argument("--filter-cutoff", type=float, default=spec.cutoff_hz, metavar="HZ",
+    parser.add_argument("--filter-cutoff", type=_flag(_decimal), default=spec.cutoff_hz, metavar="HZ",
                         help="low-pass cutoff frequency (default %(default)g)")
     parser.add_argument("--filter-order", type=_integer(), default=spec.order, metavar="N",
                         help="Butterworth order (default %(default)g)")
@@ -100,9 +102,7 @@ def _integer(low: float = -math.inf, bounded: bool = True):
                 f"has {len(digits)} digits, past numpy's index range (magnitude at most {sys.maxsize})"
             )
         if value is None or value < low:
-            long = value is not None and -value > sys.maxsize  # only --seed's, which is unbounded; not echoed
-            got = f"a negative integer of {len(digits)} digits" if long else repr(text)
-            raise argparse.ArgumentTypeError(f"must be {wanted}, got {got}")
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {_shown(text)}")
         return value
 
     return parse
@@ -120,7 +120,7 @@ def _cross_subject(args) -> SplitPlan:
 
 def _sigma(text: str) -> float:
     """One ``--sigmas`` value: a noise standard deviation in degrees."""
-    value = float(text)
+    value = _decimal(text)
     if not (math.isfinite(value) and value >= 0):
         raise argparse.ArgumentTypeError(f"noise standard deviations must be finite and non-negative, got {value}")
     return value + 0.0  # -0 becomes 0.0, so the noise CSV never reads -0.0
@@ -149,7 +149,7 @@ def _list_of(parse=str):
         for item in filter(None, map(str.strip, text.split(","))):
             value = parse(item)
             if value in values:
-                raise argparse.ArgumentTypeError(f"value {item!r} repeats an earlier value")
+                raise argparse.ArgumentTypeError(f"value {_shown(item)} repeats an earlier value")
             values.append(value)
         if not values:
             raise argparse.ArgumentTypeError("the list is empty")
@@ -189,8 +189,7 @@ def _sanitize(name: str) -> str:
 
 
 def cmd_describe(args) -> int:
-    actions, _ = _pool(_load_actions(args), [args.jm])
-    ids = [a.action_id for a in actions]
+    ids = _manifest_column(args, "action_id")  # the output names are checked before any CSV is parsed
     names = [f"{_sanitize(action_id)}.json" for action_id in ids]
     owners = {}
     for action_id, name in zip(ids, names):
@@ -204,6 +203,7 @@ def cmd_describe(args) -> int:
                 f"action ids {owners[name]!r} and {action_id!r} both map to output file {name}"
             )
         owners[name] = action_id
+    actions, _ = _pool(_load_actions(args), [args.jm])
     descriptors, elapsed = _describe(actions, args.jm)
     del actions  # the files need only the ids and the descriptors
     out_dir = Path(args.out)
@@ -387,13 +387,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subjects", type=_integer(), required=True, metavar="N")
     p.add_argument("--joints", type=_integer(), metavar="N")
     p.add_argument("--frames", type=_integer(), metavar="N")
-    p.add_argument("--frame-rate", type=float, metavar="HZ")
+    p.add_argument("--frame-rate", type=_flag(_decimal), metavar="HZ")
     p.add_argument("--seed", type=_integer(0, bounded=False), required=True, metavar="N")
     p.add_argument("--active-joints", dest="active_per_class", type=_integer(), metavar="N",
                    help="active joints per class (default joints // 5, at least 2)")
-    p.add_argument("--amplitude", dest="amplitude_deg", type=float, metavar="DEG",
+    p.add_argument("--amplitude", dest="amplitude_deg", type=_flag(_decimal), metavar="DEG",
                    help="sinusoid amplitude in degrees")
-    p.add_argument("--noise-std", dest="noise_deg", type=float, metavar="DEG", help="sample noise in degrees")
+    p.add_argument("--noise-std", dest="noise_deg", type=_flag(_decimal), metavar="DEG",
+                   help="sample noise in degrees")
     p.add_argument("--disjoint", dest="disjoint_classes", action="store_true",
                    help="give every class its own block of active joints")
     p.add_argument("--out-dir", required=True, metavar="DIR")

@@ -19,10 +19,6 @@ __all__ = [
     "CodeDescriptor",
     "DegenerateActionError",
     "FLAT_VARIANCE_FLOOR",
-    "joint_variances",
-    "rank_mij",
-    "extreme_velocities",
-    "pairwise_correlation",
     "compute_descriptor",
     "stack_descriptor",
     "stacked_length",
@@ -142,57 +138,20 @@ def stacked_length(jm: int) -> int:
     return sum(_layout(jm).values())
 
 
-def joint_variances(action: ActionMatrix) -> np.ndarray:
-    """Population variance (squared deviations averaged over T) of every joint trajectory.
-
-    The population normalization matches the covariance normalization used
-    by :func:`pairwise_correlation`, which is what keeps the correlation
-    coefficients inside [-1, 1].
-    """
-    return action.samples.var(axis=0)
+def _unit_sum(values: np.ndarray) -> np.ndarray:
+    """``values`` over the sum of their magnitudes, signs kept; all zeros stay zeros."""
+    return values / (np.abs(values).sum() or 1.0)
 
 
-def rank_mij(variances, jm: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pick the ``jm`` most informative joints and normalize their variances.
-
-    Returns ``(mij, var_norm)`` where ``mij`` lists joint indices in
-    descending-variance order and ``var_norm`` is the corresponding
-    variance share, summing to 1.
-    """
-    v = np.asarray(variances, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError("variances must be a 1-D vector")
-    total = v.size
-    if not 1 <= jm <= total:
-        raise ValueError(f"jm must be in [1, {total}], got {jm}")
-    if not np.any(v > 0):
-        raise DegenerateActionError(
-            "degenerate action: every joint trajectory has zero variance"
-        )
+def _rank_mij(variances: np.ndarray, jm: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``jm`` highest-variance joints, in descending-variance order, and their variance shares."""
+    if not 1 <= jm <= variances.size:
+        raise ValueError(f"jm must be in [1, {variances.size}], got {jm}")
+    if not np.any(variances > 0):
+        raise DegenerateActionError("degenerate action: every joint trajectory has zero variance")
     # Stable sort of the negated variances: lower joint index first on ties.
-    mij = np.argsort(-v, kind="stable")[:jm]
-    top = v[mij]
-    return mij, top / top.sum()
-
-
-def extreme_velocities(velocities) -> tuple[np.ndarray, np.ndarray]:
-    """Per-joint max and min velocity over time, each normalized by its own magnitude sum.
-
-    The columns must already be restricted to the MIJ set, in mij order.
-    Signs are preserved; an all-zero extreme vector is returned as zeros
-    instead of dividing by zero.
-    """
-    v = np.asarray(velocities, dtype=np.float64)
-    if v.ndim != 2:
-        raise ValueError(f"velocities must be 2-D (frames x joints), got shape {v.shape}")
-    return _normalize_by_abs_sum(v.max(axis=0)), _normalize_by_abs_sum(v.min(axis=0))
-
-
-def _normalize_by_abs_sum(vec: np.ndarray) -> np.ndarray:
-    denom = np.abs(vec).sum()
-    if denom == 0.0:
-        return vec.copy()
-    return vec / denom
+    mij = np.argsort(-variances, kind="stable")[:jm]
+    return mij, _unit_sum(variances[mij])
 
 
 @lru_cache(maxsize=None)
@@ -204,52 +163,48 @@ def _rank_pairs(jm: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-def pairwise_correlation(action: ActionMatrix, mij) -> np.ndarray:
-    """Pearson correlation for every unordered pair of selected joints.
+def _correlations(cols: np.ndarray) -> np.ndarray:
+    """Pearson correlation of every pair of the (T, jm) MIJ columns ``cols``, in corr's pair order.
 
-    Pairs follow the row-major upper triangle in mij order, i.e.
-    (mij[0], mij[1]), (mij[0], mij[2]), ..., (mij[jm-2], mij[jm-1]).
     Covariance and variance share the same population normalization, so
-    every coefficient lies in [-1, 1]. A pair where either trajectory is
-    flat (variance below :data:`FLAT_VARIANCE_FLOOR`) yields 0.
+    every coefficient lies in [-1, 1] up to rounding, which the clip removes.
+    A pair where either trajectory is flat (variance below
+    :data:`FLAT_VARIANCE_FLOOR`) yields 0.
     """
-    mij = np.asarray(mij, dtype=np.intp)
-    cols = action.samples[:, mij]
-    frames = cols.shape[0]
     dev = cols - cols.mean(axis=0)
-    cov = dev.T @ dev / frames
+    cov = dev.T @ dev / cols.shape[0]
     var = np.diag(cov)
-    jm = mij.size
-    if jm < 2:
-        return np.empty(0, dtype=np.float64)
-    iu, ju = _rank_pairs(jm)
-    valid = (var[iu] >= FLAT_VARIANCE_FLOOR) & (var[ju] >= FLAT_VARIANCE_FLOOR)
-    denom = np.where(valid, np.sqrt(var[iu]) * np.sqrt(var[ju]), 1.0)
-    out = np.where(valid, cov[iu, ju] / denom, 0.0)
-    return np.clip(out, -1.0, 1.0)
+    moving = var >= FLAT_VARIANCE_FLOOR
+    spread = np.sqrt(var)
+    iu, ju = _rank_pairs(cols.shape[1])
+    valid = moving[iu] & moving[ju]
+    denom = np.where(valid, spread[iu] * spread[ju], 1.0)
+    return np.clip(np.where(valid, cov[iu, ju] / denom, 0.0), -1.0, 1.0)
 
 
 def compute_descriptor(action: ActionMatrix, jm: int) -> CodeDescriptor:
     """Build the full descriptor for one action.
 
-    Steps: rank joints by trajectory variance, keep the top ``jm``,
-    normalize their variances, add normalized extreme velocities of the
-    kept joints, then their pairwise correlations. Deterministic: the
-    same action always produces a bit-identical descriptor. Any
-    ``ValueError`` on the way is raised again with the action's id in
-    front, and so is a floating-point overflow, invalid value or division
-    by zero, such as a variance that overflows, as a ``ValueError``.
+    Steps: rank joints by their trajectories' population variance (squared
+    deviations averaged over T), keep the top ``jm``, normalize their
+    variances to sum to 1, add the extreme velocities of the kept joints,
+    each normalized by its own magnitude sum, then their pairwise
+    correlations. Deterministic: the same action always produces a
+    bit-identical descriptor. Any ``ValueError`` on the way is raised again
+    with the action's id in front, and so is a floating-point overflow,
+    invalid value or division by zero, such as a variance that overflows,
+    as a ``ValueError``.
     """
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            mij, var_norm = rank_mij(joint_variances(action), jm)
+            mij, var_norm = _rank_mij(action.samples.var(axis=0), jm)
+            cols = action.samples[:, mij]
             # Angular velocities in deg/s: central differences inside, one-sided at
             # both ends. np.gradient differentiates each column on its own, so the
             # MIJ columns alone suffice.
-            velocities = np.gradient(action.samples[:, mij], axis=0) * action.frame_rate
-            vmax_norm, vmin_norm = extreme_velocities(velocities)
-            corr = pairwise_correlation(action, mij)
-            return CodeDescriptor(mij, var_norm, vmax_norm, vmin_norm, corr, jm)
+            velocities = np.gradient(cols, axis=0) * action.frame_rate
+            vmax_norm, vmin_norm = _unit_sum(velocities.max(axis=0)), _unit_sum(velocities.min(axis=0))
+            return CodeDescriptor(mij, var_norm, vmax_norm, vmin_norm, _correlations(cols), jm)
     except (ValueError, FloatingPointError) as exc:  # DegenerateActionError keeps its type
         kind = type(exc) if isinstance(exc, ValueError) else ValueError
         raise kind(f"action {action.action_id!r}: {exc}") from None

@@ -12,7 +12,7 @@ import numpy as np
 # module, so they stay module-level names that are looked up at call time.
 # ROADMAP item 4, which deletes the tracer, lifts this constraint.
 from .descriptor import ActionMatrix, CodeDescriptor, compute_descriptor
-from .ingest import FilterSpec, butterworth_filter
+from .ingest import FilterSpec, _shown, butterworth_filter
 from .similarity import MetricSpec, similarity_matrix
 
 __all__ = [
@@ -194,7 +194,7 @@ class SplitPlan:
         train_set = set(train_subjects)
         unknown = sorted(train_set - set(subject_ids))
         if unknown:
-            raise ValueError(f"unknown subject(s): {', '.join(str(s) for s in unknown)}")
+            raise ValueError(f"unknown subject(s): {', '.join(_shown(str(s)) for s in unknown)}")
         train = np.array(
             [i for i, s in enumerate(subject_ids) if s in train_set], dtype=np.intp
         )

@@ -44,6 +44,16 @@ class DatasetError(ValueError):
     """Raised for malformed manifests or action files; messages name file and line."""
 
 
+# A rejected value from outside the program is quoted in its error up to this
+# many characters and named by its length past them, so the error stays one short line.
+_SHOWN_CHARS = 40
+
+
+def _shown(text: str) -> str:
+    """How an error names a rejected value ``text``: quoted when short, else by its length."""
+    return repr(text) if len(text) <= _SHOWN_CHARS else f"<{len(text)} characters>"
+
+
 @dataclass(frozen=True)
 class ManifestEntry:
     path: str
@@ -66,7 +76,7 @@ class DatasetManifest:
         seen = set()
         for n, entry in enumerate(self.entries):
             if entry.action_id in seen:
-                raise DatasetError(f"manifest entry {n}: duplicate action_id {entry.action_id!r}")
+                raise DatasetError(f"manifest entry {n}: duplicate action_id {_shown(entry.action_id)}")
             seen.add(entry.action_id)
             if not 0 < entry.frame_rate < math.inf:
                 raise DatasetError(
@@ -76,7 +86,7 @@ class DatasetManifest:
             if entry.angle_unit not in ANGLE_UNITS:
                 raise DatasetError(
                     f"manifest entry {n} ({entry.action_id!r}): angle_unit must be one of "
-                    f"{ANGLE_UNITS}, got {entry.angle_unit!r}"
+                    f"{ANGLE_UNITS}, got {_shown(entry.angle_unit)}"
                 )
 
 
@@ -111,7 +121,9 @@ def load_manifest(path) -> DatasetManifest:
 
     name = payload.get("dataset_name", path.stem)
     check_value(name, "'dataset_name'")
-    convert = get_type_hints(ManifestEntry)  # str, or float for frame_rate
+    # str, or for frame_rate a float: a JSON number's value, or a string read as a CSV cell is
+    convert = {**get_type_hints(ManifestEntry),
+               "frame_rate": lambda value: _decimal(value) if isinstance(value, str) else float(value)}
     entries = []
     for n, raw in enumerate(payload["entries"]):
         if not isinstance(raw, dict):
@@ -125,7 +137,7 @@ def load_manifest(path) -> DatasetManifest:
             raise DatasetError(f"{path}: entry {n} is missing required key {missing[0]!r}")
         try:
             entries.append(ManifestEntry(**{key: convert[key](value) for key, value in given.items()}))
-        except (ValueError, OverflowError) as exc:  # a string rate, or an integer past float's range
+        except (ValueError, OverflowError) as exc:  # a non-numeric string rate, or an integer past float's range
             raise DatasetError(f"{path}: entry {n} is malformed ({exc})") from None
     try:
         return DatasetManifest(str(name), tuple(entries))
@@ -171,12 +183,26 @@ def _loadtxt(lines) -> np.ndarray:
     return np.loadtxt(lines, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
 
 
+def _decimal(text: str) -> float:
+    """``text`` read as one CSV cell is, by numpy's parser: the one grammar of every decimal input.
+
+    So ``1_0`` and ``٣``, which Python's ``float()`` reads, fail with
+    ``ValueError``. A blank text is not given to numpy, which warns on no data.
+    """
+    with suppress(ValueError):
+        row = _loadtxt([text]) if text.strip() else None
+        if row is not None and row.shape == (1, 1):
+            return float(row[0, 0])
+    raise ValueError(f"must be a decimal number, got {_shown(text)}")
+
+
 def _is_number(cell: str) -> bool:
-    """Whether numpy's parser reads ``cell`` as one number; it is not asked about an empty one."""
+    """Whether numpy's parser reads ``cell`` as one number."""
     try:
-        return cell != "" and _loadtxt([cell]).shape == (1, 1)  # on no data, numpy warns
+        _decimal(cell)
     except ValueError:
         return False
+    return True
 
 
 def _first_fault(path: Path, numbered) -> DatasetError:
@@ -193,7 +219,7 @@ def _first_fault(path: Path, numbered) -> DatasetError:
             row = _loadtxt([line])
         except ValueError:
             bad = next(cell.strip() for cell in cells if not _is_number(cell))
-            return DatasetError(f"{path}, line {line_no}: non-numeric value {bad!r}")
+            return DatasetError(f"{path}, line {line_no}: non-numeric value {_shown(bad)}")
         if not np.isfinite(row).all():
             return DatasetError(f"{path}, line {line_no}: non-finite value")
         if len(cells) != width:

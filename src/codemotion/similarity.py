@@ -16,6 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .descriptor import CodeDescriptor, _layout, _rank_pairs, stack_descriptor
+from .ingest import _shown
 
 __all__ = [
     "Metric",
@@ -64,7 +65,7 @@ def _name_parser(names: type[Enum], noun: str):
             return names(text)
         except ValueError:
             known = ", ".join(name.value for name in names)
-            raise ValueError(f"unknown {noun} {text!r}; expected one of {known}") from None
+            raise ValueError(f"unknown {noun} {_shown(text)}; expected one of {known}") from None
 
     return parse
 

@@ -24,10 +24,8 @@ from codemotion import (
     csm,
     evaluate,
     generate_synthetic,
-    joint_variances,
     load_dataset,
     noise_sweep,
-    pairwise_correlation,
     stack_descriptor,
 )
 from oracles import csm_score, pearson, population_variance
@@ -68,22 +66,21 @@ def test_criterion_2_oracle_equivalence():
         a = random_action(rng, joints=joints, frames=frames, scale=10.0)
         b = random_action(rng, joints=joints, frames=frames, scale=10.0)
 
-        variances = joint_variances(a)
-        for j in range(joints):
-            expected = population_variance(list(a.samples[:, j]))
-            assert close(variances[j], expected), f"variance joint {j}"
-            worst = max(worst, abs(variances[j] - expected))
-
         da = compute_descriptor(a, jm)
-        corr = pairwise_correlation(a, da.mij)
+        variances = [population_variance(list(a.samples[:, j])) for j in da.mij]
+        for p in range(jm):
+            expected = variances[p] / sum(variances)
+            assert close(da.var_norm[p], expected), f"variance share of rank {p}"
+            worst = max(worst, abs(da.var_norm[p] - expected))
+
         k = 0
         for p in range(jm):
             for q in range(p + 1, jm):
                 expected = pearson(
                     list(a.samples[:, da.mij[p]]), list(a.samples[:, da.mij[q]])
                 )
-                assert close(corr[k], expected), f"corr pair ({p},{q})"
-                worst = max(worst, abs(corr[k] - expected))
+                assert close(da.corr[k], expected), f"corr pair ({p},{q})"
+                worst = max(worst, abs(da.corr[k] - expected))
                 k += 1
 
         db = compute_descriptor(b, jm)
@@ -96,7 +93,7 @@ def test_criterion_2_oracle_equivalence():
 def _action_with_margins(rng, joints, frames, rel=1e-5, tries=20):
     for _ in range(tries):
         action = random_action(rng, joints=joints, frames=frames)
-        v = np.sort(joint_variances(action))
+        v = np.sort(action.samples.var(axis=0))
         if np.all(np.diff(v) / max(v[-1], 1e-12) > rel):
             return action
     raise AssertionError("could not generate an action with distinct variances")

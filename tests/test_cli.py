@@ -184,27 +184,21 @@ class TestDescribe:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["stacked_length"] == 270
 
-    def test_colliding_output_names_fail_before_writing(self, synth_dir, tmp_path, capsys):
-        def collide(entries):
-            entries[0]["action_id"] = "a/b"
-            entries[1]["action_id"] = "a_b"
+    @pytest.mark.parametrize("ids, message", [
+        ({0: "a/b", 1: "a_b"}, "action ids 'a/b' and 'a_b' both map to output file a_b.json"),
+        ({2: "summary"}, "action id 'summary' maps to output file summary.json, which is reserved for the run summary"),
+    ], ids=["colliding", "summary"])
+    def test_output_names_fail_before_any_csv_is_parsed(self, synth_dir, tmp_path, capsys, ids, message):
+        def rename(entries):
+            for n, action_id in ids.items():
+                entries[n]["action_id"] = action_id
 
-        manifest = copy_dataset(synth_dir, tmp_path / "data", collide)
+        manifest = copy_dataset(synth_dir, tmp_path / "data", rename)
+        # a missing CSV, whose error would win once parsing began
+        (manifest.parent / json.loads(manifest.read_text())["entries"][4]["path"]).unlink()
         out = tmp_path / "desc"
         assert run("describe", "--manifest", manifest, "--jm", 3, "--out", out) == 1
-        err = capsys.readouterr().err
-        assert "'a/b'" in err and "'a_b'" in err
-        assert not out.exists()
-
-    def test_summary_action_id_is_reserved(self, synth_dir, tmp_path, capsys):
-        def reserve(entries):
-            entries[2]["action_id"] = "summary"
-
-        manifest = copy_dataset(synth_dir, tmp_path / "data", reserve)
-        out = tmp_path / "desc"
-        assert run("describe", "--manifest", manifest, "--jm", 3, "--out", out) == 1
-        err = capsys.readouterr().err
-        assert "'summary'" in err and "summary.json" in err
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_jm_beyond_joint_count_fails_before_writing(self, synth_dir, tmp_path, capsys):
@@ -876,8 +870,7 @@ class TestExitCodes:
         assert self.run_flag(tmp_path, command, base, flag, "-" + "9" * 4000) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and len(err.encode()) < 300
-        assert err.endswith("error: argument --seed: must be a non-negative integer, "
-                            "got a negative integer of 4000 digits\n")
+        assert err.endswith("error: argument --seed: must be a non-negative integer, got <4001 characters>\n")
 
     @pytest.mark.parametrize("flag", ["--jm", "--filter-order", "--folds"])
     def test_integer_at_numpys_index_range_parses(self, flag):
@@ -922,6 +915,52 @@ class TestExitCodes:
         assert err.endswith("error: argument --sigmas: noise standard deviations must be finite and non-negative, got inf\n")
         assert err.count("\n") == 1 and "99999" not in err
 
+    LONG = "9" * 4000 + "x"
+
+    @pytest.mark.parametrize("command, base, flag, value, message", [
+        ("crossval", [], "--seed", LONG, "--seed: must be a non-negative integer, got <4001 characters>"),
+        ("crossval", ["--seed", 1], "--filter-cutoff", LONG, "--filter-cutoff: must be a decimal number, got <4001 characters>"),
+        ("noise", ["--seed", 1], "--sigmas", LONG, "--sigmas: must be a decimal number, got <4001 characters>"),
+        ("sweep", ["--seed", 1], "--metric", LONG,
+         "--metric: unknown metric <4001 characters>; expected one of csm, euclidean, manhattan"),
+        ("cross-subject", [], "--train-subjects", f"{LONG},{LONG}",
+         "--train-subjects: value <4001 characters> repeats an earlier value"),
+    ], ids=["seed", "filter-cutoff", "sigmas", "metric", "train-subjects"])
+    def test_long_rejected_value_is_named_by_its_length(self, tmp_path, capsys, command, base, flag, value, message):
+        assert self.run_flag(tmp_path, command, base, flag, value) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err.encode()) < 200
+        assert err.endswith(f"error: argument {message}\n")
+
+    def test_long_unknown_subject_is_named_by_its_length(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert run("cross-subject", "--manifest", synth_dir / "manifest.json", "--train-subjects", "s" * 4000,
+                   "--out", out) == 1
+        assert capsys.readouterr().err == "error: unknown subject(s): <4000 characters>\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0663", "0x10"], ids=["underscore", "arabic-indic", "hex"])
+    @pytest.mark.parametrize("command, base, flag", [
+        ("crossval", ["--seed", 1], "--filter-cutoff"),
+        ("noise", ["--seed", 1], "--sigmas"),
+        *(("gen-synth", ["--classes", 2, "--per-class", 2, "--subjects", 1, "--seed", 1], flag)
+          for flag in ("--frame-rate", "--amplitude", "--noise-std")),
+    ], ids=lambda v: v if isinstance(v, str) else "")
+    def test_decimal_flags_read_the_csv_cells_grammar(self, tmp_path, capsys, command, base, flag, value):
+        assert self.run_flag(tmp_path, command, base, flag, value) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith(f"error: argument {flag}: must be a decimal number, got {value!r}\n")
+
+    def test_filter_with_no_steady_state_names_the_design(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "cv.json"
+        assert run("crossval", "--manifest", synth_dir / "manifest.json", "--jm", 3, "--folds", 4, "--seed", 1,
+                   "--filter-cutoff", "1e-9", "--out", out) == 1
+        assert capsys.readouterr().err == (
+            "error: cutoff 1e-09 Hz is too low for an order-2 low-pass of a 30.0 Hz recording: "
+            "a pole rounds to z = 1 in float64, so the filter has no steady state (action 'c00_s00_r00')\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--metric", "cosine", "unknown metric 'cosine'; expected one of csm, euclidean, manhattan"),
         ("--features", "all", "unknown feature set 'all'; expected one of var, var-vel, full"),
@@ -942,7 +981,7 @@ class TestExitCodes:
         (["crossval", "--folds", 13, "--seed", 1], "fold count must be in [2, 12], got 13"),
         (["sweep", "--folds", 13, "--seed", 1], "fold count must be in [2, 12], got 13"),
         (["noise", "--folds", 13, "--seed", 1], "fold count must be in [2, 12], got 13"),
-        (["cross-subject", "--train-subjects", "nobody"], "unknown subject(s): nobody"),
+        (["cross-subject", "--train-subjects", "nobody"], "unknown subject(s): 'nobody'"),
     ], ids=["crossval", "sweep", "noise", "cross-subject"])
     def test_plan_is_checked_before_any_csv_is_parsed(self, tmp_path, capsys, argv, message):
         config = SyntheticConfig(classes=3, per_class=4, subjects=1, joints=6, frames=30, seed=1)

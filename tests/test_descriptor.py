@@ -8,13 +8,10 @@ from codemotion import (
     CodeDescriptor,
     DegenerateActionError,
     compute_descriptor,
-    extreme_velocities,
-    joint_variances,
-    pairwise_correlation,
-    rank_mij,
     stack_descriptor,
     stacked_length,
 )
+from codemotion.descriptor import _correlations, _rank_mij, _unit_sum
 from oracles import finite_difference_velocity, pearson, population_variance
 
 from conftest import random_action
@@ -65,72 +62,76 @@ class TestActionMatrix:
         assert action.samples.flags.f_contiguous and not action.samples.flags.writeable
 
 
-class TestJointVariances:
-    def test_constant_trajectory_has_zero_variance(self):
-        action = action_from_columns([5.0, 5.0, 5.0, 5.0])
-        assert joint_variances(action)[0] == 0.0
+class TestVarianceShares:
+    """``var_norm``: the MIJ's population variances, as shares of their sum."""
 
-    def test_alternating_column_variance_is_one(self):
-        # mean 1, deviations +-1, population variance (divide by T) = 1
-        action = action_from_columns([0.0, 2.0, 0.0, 2.0])
-        assert joint_variances(action)[0] == pytest.approx(1.0, abs=1e-15)
+    def test_constant_trajectory_has_zero_share(self):
+        d = compute_descriptor(action_from_columns([1.0, 2.0, 3.0, 4.0], [5.0, 5.0, 5.0, 5.0]), jm=2)
+        np.testing.assert_array_equal(d.mij, [0, 1])
+        np.testing.assert_array_equal(d.var_norm, [1.0, 0.0])
 
-    def test_identical_columns_get_identical_variances(self, rng):
+    def test_identical_columns_get_identical_shares(self, rng):
         col = rng.normal(0, 10, 20)
-        action = action_from_columns(col, col)
-        v = joint_variances(action)
-        assert v[0] == v[1]
+        d = compute_descriptor(action_from_columns(col, col), jm=2)
+        assert d.var_norm[0] == d.var_norm[1] == 0.5
 
     def test_matches_loop_oracle(self, rng):
         action = random_action(rng, joints=5, frames=23)
-        v = joint_variances(action)
-        for j in range(5):
-            expected = population_variance(list(action.samples[:, j]))
-            assert v[j] == pytest.approx(expected, rel=1e-12)
+        d = compute_descriptor(action, 5)
+        expected = [population_variance(list(action.samples[:, j])) for j in d.mij]
+        np.testing.assert_allclose(d.var_norm, np.array(expected) / sum(expected), rtol=1e-12)
+
+    def test_flatness_is_judged_on_population_variance(self):
+        # 2 frames: the second column's population variance is 9.025e-13, below
+        # FLAT_VARIANCE_FLOOR, while its sample variance, 1.805e-12, is above it
+        d = compute_descriptor(action_from_columns([0.0, 1.0], [0.0, 1.9e-6]), jm=2)
+        np.testing.assert_array_equal(d.corr, [0.0])
 
 
 class TestRankMij:
     def test_hand_example(self):
-        mij, var_norm = rank_mij([0.0, 3.0, 1.0], jm=2)
+        mij, var_norm = _rank_mij(np.array([0.0, 3.0, 1.0]), jm=2)
         assert mij.tolist() == [1, 2]
         np.testing.assert_allclose(var_norm, [0.75, 0.25], atol=1e-15)
 
     def test_stable_tie_break_prefers_lower_index(self):
-        mij, _ = rank_mij([2.0, 2.0, 2.0], jm=2)
+        mij, _ = _rank_mij(np.array([2.0, 2.0, 2.0]), jm=2)
         assert mij.tolist() == [0, 1]
 
     def test_single_joint_identity(self):
-        mij, var_norm = rank_mij([1.0], jm=1)
+        mij, var_norm = _rank_mij(np.array([1.0]), jm=1)
         assert mij.tolist() == [0]
         np.testing.assert_array_equal(var_norm, [1.0])
 
     def test_all_zero_variances_is_degenerate(self):
         with pytest.raises(DegenerateActionError, match="degenerate action"):
-            rank_mij([0.0, 0.0], jm=1)
+            _rank_mij(np.array([0.0, 0.0]), jm=1)
 
     def test_jm_out_of_range(self):
-        with pytest.raises(ValueError):
-            rank_mij([1.0, 2.0], jm=3)
-        with pytest.raises(ValueError):
-            rank_mij([1.0, 2.0], jm=0)
-
-    def test_rejects_2d_variances(self):
-        with pytest.raises(ValueError, match="variances must be a 1-D vector"):
-            rank_mij([[1.0, 2.0]], jm=1)
+        with pytest.raises(ValueError, match=r"^jm must be in \[1, 2\], got 3$"):
+            _rank_mij(np.array([1.0, 2.0]), jm=3)
+        with pytest.raises(ValueError, match=r"^jm must be in \[1, 2\], got 0$"):
+            _rank_mij(np.array([1.0, 2.0]), jm=0)
 
     def test_var_norm_sums_to_one(self, rng):
         v = rng.uniform(0.1, 50.0, 12)
-        _, var_norm = rank_mij(v, jm=7)
+        _, var_norm = _rank_mij(v, jm=7)
         assert var_norm.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_full_ranking_is_permutation_and_sorted(self, rng):
         v = np.round(rng.uniform(0.0, 10.0, 12))  # 12 values from 11 integers: ties are certain
-        mij, _ = rank_mij(v, jm=12)
+        mij, _ = _rank_mij(v, jm=12)
         assert sorted(mij.tolist()) == list(range(12))
         assert np.all(np.diff(v[mij]) <= 0)
         for a, b in zip(mij[:-1], mij[1:]):
             if v[a] == v[b]:
                 assert a < b
+
+    def test_descriptor_ties_prefer_lower_index(self):
+        # three columns of variance exactly 1, the last one of variance 4
+        d = compute_descriptor(action_from_columns([0.0, 2.0, 0.0, 2.0], [2.0, 0.0, 2.0, 0.0],
+                                                   [4.0, 6.0, 4.0, 6.0], [0.0, 4.0, 0.0, 4.0]), jm=3)
+        np.testing.assert_array_equal(d.mij, [3, 0, 1])
 
 
 def oracle_extremes(action, mij):
@@ -177,75 +178,67 @@ class TestJointVelocities:
             np.testing.assert_allclose(d.vmin_norm, vmin, rtol=1e-12)
 
 
-class TestExtremeVelocities:
-    def test_single_column(self):
-        vmax, vmin = extreme_velocities(np.array([[1.0], [3.0], [2.0]]))
-        np.testing.assert_array_equal(vmax, [1.0])
-        np.testing.assert_array_equal(vmin, [1.0])
+class TestUnitSum:
+    """The one normalization of ``var_norm``, ``vmax_norm`` and ``vmin_norm``."""
+
+    def test_single_value(self):
+        np.testing.assert_array_equal(_unit_sum(np.array([3.0])), [1.0])
 
     def test_signs_preserved(self):
-        # raw per-column maxima are [2, -2]; |2| + |-2| = 4, signs kept
-        velocities = np.array([[2.0, -2.0], [1.0, -3.0]])
-        vmax, _ = extreme_velocities(velocities)
-        np.testing.assert_allclose(vmax, [0.5, -0.5])
-
-    def test_rejects_1d_velocities(self):
-        with pytest.raises(ValueError, match=r"velocities must be 2-D \(frames x joints\), got shape \(5,\)"):
-            extreme_velocities(np.zeros(5))
+        # |2| + |-2| = 4, signs kept
+        np.testing.assert_allclose(_unit_sum(np.array([2.0, -2.0])), [0.5, -0.5])
 
     def test_all_zero_stays_zero(self):
-        vmax, vmin = extreme_velocities(np.zeros((5, 3)))
-        np.testing.assert_array_equal(vmax, np.zeros(3))
-        np.testing.assert_array_equal(vmin, np.zeros(3))
+        np.testing.assert_array_equal(_unit_sum(np.zeros(3)), np.zeros(3))
 
     def test_magnitudes_sum_to_one(self, rng):
-        velocities = rng.normal(0, 5, size=(20, 6))
-        vmax, vmin = extreme_velocities(velocities)
-        assert np.abs(vmax).sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.abs(vmin).sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(_unit_sum(rng.normal(0, 5, 6))).sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_zero_magnitude_extremes_stay_zero(self):
+        # non-increasing columns with a flat first step: each one's fastest
+        # velocity is 0, so vmax is all zeros, while vmin is not
+        d = compute_descriptor(action_from_columns([3.0, 3.0, 2.0], [5.0, 5.0, 1.0]), jm=2)
+        np.testing.assert_array_equal(d.vmax_norm, [0.0, 0.0])
+        np.testing.assert_allclose(d.vmin_norm, [-2 / 2.5, -0.5 / 2.5], rtol=1e-15)
 
 
-class TestPairwiseCorrelation:
+class TestCorrelations:
     def test_identical_columns(self, rng):
         col = rng.normal(0, 3, 25)
-        action = action_from_columns(col, col)
-        corr = pairwise_correlation(action, [0, 1])
-        assert corr[0] == pytest.approx(1.0, abs=1e-12)
+        assert _correlations(np.column_stack([col, col]))[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_anticorrelated_with_offset(self, rng):
         col = rng.normal(0, 3, 25)
-        action = action_from_columns(col, -col + 7.0)
-        corr = pairwise_correlation(action, [0, 1])
-        assert corr[0] == pytest.approx(-1.0, abs=1e-12)
+        assert _correlations(np.column_stack([col, -col + 7.0]))[0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_flat_column_gives_zero(self):
-        action = action_from_columns([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
-        corr = pairwise_correlation(action, [0, 1])
-        assert corr[0] == 0.0
+        np.testing.assert_array_equal(_correlations(np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])), [0.0])
 
     def test_matches_loop_oracle(self, rng):
         action = random_action(rng, joints=3, frames=10, scale=4.0)
-        corr = pairwise_correlation(action, [0, 1, 2])
+        corr = _correlations(action.samples)
         cols = [list(action.samples[:, j]) for j in range(3)]
         expected = [pearson(cols[0], cols[1]), pearson(cols[0], cols[2]), pearson(cols[1], cols[2])]
         np.testing.assert_allclose(corr, expected, atol=1e-12)
 
-    def test_pair_order_is_upper_triangle(self, rng):
-        action = random_action(rng, joints=4, frames=15)
-        corr = pairwise_correlation(action, [2, 0, 3])
+    def test_pair_order_is_upper_triangle_over_rank_positions(self, rng):
+        samples = rng.normal(0, 1, (15, 4))
+        samples = (samples - samples.mean(axis=0)) / samples.std(axis=0) * [2.0, 0.5, 4.0, 1.0]
+        d = compute_descriptor(ActionMatrix(samples, 30.0), jm=3)
+        np.testing.assert_array_equal(d.mij, [2, 0, 3])
         # order: (2,0), (2,3), (0,3) by mij rank positions
-        cols = action.samples
-        expected = [
-            pearson(list(cols[:, 2]), list(cols[:, 0])),
-            pearson(list(cols[:, 2]), list(cols[:, 3])),
-            pearson(list(cols[:, 0]), list(cols[:, 3])),
-        ]
-        np.testing.assert_allclose(corr, expected, atol=1e-12)
+        cols = [list(samples[:, j]) for j in range(4)]
+        expected = [pearson(cols[2], cols[0]), pearson(cols[2], cols[3]), pearson(cols[0], cols[3])]
+        np.testing.assert_allclose(d.corr, expected, atol=1e-12)
 
     def test_bounds(self, rng):
-        action = random_action(rng, joints=6, frames=12)
-        corr = pairwise_correlation(action, list(range(6)))
+        corr = _correlations(random_action(rng, joints=6, frames=12).samples)
         assert np.all(np.abs(corr) <= 1.0)
+
+    def test_rounding_past_one_is_clipped(self):
+        # unclipped, this column's correlation with itself is 1 + 2**-52
+        col = np.array([-7.3, -5.4, -3.2, 4.1, 10.4, -1.3])
+        np.testing.assert_array_equal(_correlations(np.column_stack([col, col, -col])), [1.0, -1.0, -1.0])
 
 
 class TestComputeDescriptor:
@@ -287,6 +280,12 @@ class TestComputeDescriptor:
         with pytest.raises(DegenerateActionError, match="'flat_07': degenerate action"):
             compute_descriptor(action, 2)
 
+    @pytest.mark.parametrize("jm", [0, 5])
+    def test_jm_outside_the_joints_names_the_action(self, rng, jm):
+        action = ActionMatrix(random_action(rng, joints=4, frames=10).samples, 30.0, action_id="few_03")
+        with pytest.raises(ValueError, match=rf"^action 'few_03': jm must be in \[1, 4\], got {jm}$"):
+            compute_descriptor(action, jm)
+
     def test_overflowing_variance_names_the_action(self, rng):
         samples = random_action(rng, joints=4, frames=10).samples.copy()
         samples[3, 0] = 1e200
@@ -294,6 +293,12 @@ class TestComputeDescriptor:
         # the ufunc's name differs across numpy versions
         with pytest.raises(ValueError, match="^action 'huge_01': overflow encountered in "):
             compute_descriptor(action, 2)
+
+    def test_is_the_one_public_entry(self):
+        import codemotion
+        from codemotion import descriptor
+        for name in ("joint_variances", "rank_mij", "extreme_velocities", "pairwise_correlation"):
+            assert not hasattr(codemotion, name) and not hasattr(descriptor, name)
 
     def test_memory_independent_of_frames(self, rng):
         short = random_action(rng, joints=10, frames=50)

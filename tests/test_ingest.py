@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import os
 import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -257,6 +258,18 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match=f"^{re.escape(expected)}$"):
             load_manifest(manifest)
 
+    @pytest.mark.parametrize("rate, expected", [("29.97", 29.97), (" 1e2", 100.0)])
+    def test_string_frame_rate_is_read_as_a_csv_cell(self, tmp_path, rate, expected):
+        manifest = write_dataset(tmp_path, [("a.csv", "1,2\n3,4\n", {"frame_rate": rate})])
+        assert load_manifest(manifest).entries[0].frame_rate == expected
+
+    @pytest.mark.parametrize("rate", ["1_0", "\u0663\u0660", "30 Hz"], ids=["underscore", "arabic-indic", "unit"])
+    def test_string_frame_rate_numpy_does_not_read_is_malformed(self, tmp_path, rate):
+        manifest = write_dataset(tmp_path, [("a.csv", "1,2\n3,4\n", {"frame_rate": rate})])
+        expected = f"{manifest}: entry 0 is malformed (must be a decimal number, got {rate!r})"
+        with pytest.raises(DatasetError, match=f"^{re.escape(expected)}$"):
+            load_manifest(manifest)
+
     def test_integer_past_the_digit_limit_is_invalid_json(self, tmp_path):
         # json.loads raises a plain ValueError, not a JSONDecodeError, for more than 4300 digits
         manifest = write_dataset(tmp_path, [("a.csv", "1,2\n3,4\n", {"frame_rate": 7})])
@@ -274,6 +287,11 @@ class TestLoadDataset:
         path.write_text(json.dumps({"dataset_name": "x", "entries": [{"path": "a.csv"}]}))
         with pytest.raises(DatasetError, match="missing required key"):
             load_manifest(path)
+
+    def test_long_non_numeric_cell_is_named_by_its_length(self, tmp_path):
+        manifest = write_dataset(tmp_path, [("bad.csv", "1,2\n3," + "x" * 4000 + "\n", {})])
+        with pytest.raises(DatasetError, match=r"bad\.csv, line 2: non-numeric value <4000 characters>$"):
+            load_dataset(manifest)
 
     def test_non_finite_cell_rejected(self, tmp_path):
         manifest = write_dataset(tmp_path, [("a.csv", "1,2\nnan,4\n", {})])
@@ -616,6 +634,25 @@ class TestReaderGrammar:
             with pytest.raises(DatasetError, match=f"^{re.escape(fault)}$"):
                 ingest._read_csv_matrix(path)
 
+    @settings(max_examples=300, deadline=None)
+    @given(cell=GRAMMAR_CELLS)
+    def test_decimal_is_numpy(self, cell):
+        # the one reader of the CLI's decimal flags and a manifest's string frame_rate
+        if numpy_reads(cell):
+            expected = np.loadtxt([cell], delimiter=",", comments=None)
+            assert np.float64(ingest._decimal(cell)).tobytes() == expected.tobytes()
+        else:
+            with pytest.raises(ValueError, match=f"^must be a decimal number, got {re.escape(repr(cell))}$"):
+                ingest._decimal(cell)
+
+    @pytest.mark.parametrize("text", ["", " ", "\r", "\r\n"], ids=["empty", "space", "return", "crlf"])
+    def test_blank_decimal_is_refused_without_a_warning(self, text):
+        # numpy would read a lone line ending as a file with no data, and warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^must be a decimal number, got {re.escape(repr(text))}$"):
+                ingest._decimal(text)
+
 
 def lowpass(action, spec):
     (filtered,) = butterworth_filter([action], spec)
@@ -703,6 +740,17 @@ class TestButterworthFilter:
         pool = [random_action(rng, frame_rate=240.0, action_id=name) for name in ("first", "second")]
         expected = f"order {order} is too high for a {cutoff} Hz low-pass of a 240.0 Hz recording: "
         with pytest.raises(ValueError, match=f"^{re.escape(expected)}.*\\(action 'first'\\)$"):
+            butterworth_filter(pool, FilterSpec(cutoff_hz=cutoff, order=order))
+        assert calls == []
+
+    @pytest.mark.parametrize("order, cutoff", [(2, 1e-10), (8, 1e-12)])
+    def test_design_with_no_steady_state_names_the_action_before_any_is_filtered(self, rng, monkeypatch, order, cutoff):
+        calls = []
+        monkeypatch.setattr(ingest, "_sosfiltfilt", lambda *args: calls.append(args) or [])
+        pool = [random_action(rng, frame_rate=240.0, action_id=name) for name in ("first", "second")]
+        expected = (f"cutoff {cutoff} Hz is too low for an order-{order} low-pass of a 240.0 Hz recording: "
+                    "a pole rounds to z = 1 in float64, so the filter has no steady state (action 'first')")
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
             butterworth_filter(pool, FilterSpec(cutoff_hz=cutoff, order=order))
         assert calls == []
 

@@ -12,7 +12,6 @@ from codemotion import (
     MetricSpec,
     compute_descriptor,
     csm,
-    joint_variances,
     similarity_matrix,
     stack_descriptor,
 )
@@ -46,7 +45,7 @@ def actions_with_jm(draw, **kwargs):
 
 
 def distinct_variance_margins(action, rel=1e-6):
-    v = np.sort(joint_variances(action))
+    v = np.sort(action.samples.var(axis=0))
     scale = max(v[-1], 1e-12)
     return np.all(np.diff(v) / scale > rel)
 

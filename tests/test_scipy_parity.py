@@ -7,6 +7,7 @@ match exactly: the filter design byte for byte (``tobytes()``, which tells
 
 import itertools
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,34 @@ def test_whole_hz_grid_puts_the_zero_at_0_in_every_place():
     assert (24, 30.0, 120.0) in WHOLE_HZ_GRID
     a1 = lowpass_sos(24, 30.0, 120.0)[:, 4]
     assert (a1 == 0).any() and not np.signbit(a1[a1 == 0]).any()
+
+
+# Orders 1 to 8 at cutoffs far below any motion's band. From about 1e-7 Hz a
+# pole of the even orders rounds to z = 1, which leaves its section no steady
+# state: sosfilt_zi's solve is singular, or its gain divides by 1 + a1 + a2 = 0.
+LOW_CUTOFF_GRID = list(itertools.product(range(1, 9), [float(f"1e-{e}") for e in range(3, 13)], (30.0, 120.0, 240.0)))
+
+
+def test_low_cutoff_design_starts_from_a_steady_state_or_is_refused():
+    refused = 0
+    for order, cutoff, fs in LOW_CUTOFF_GRID:
+        expected = signal.butter(order, cutoff, btype="low", fs=fs, output="sos")
+        try:
+            sos = lowpass_sos(order, cutoff, fs)
+        except ValueError as exc:
+            assert str(exc) == (f"cutoff {cutoff} Hz is too low for an order-{order} low-pass of a {fs} Hz "
+                                "recording: a pole rounds to z = 1 in float64, so the filter has no steady state")
+            with warnings.catch_warnings(), pytest.raises((np.linalg.LinAlgError, RuntimeWarning)):
+                warnings.simplefilter("error")
+                signal.sosfilt_zi(expected)  # scipy cannot start it either
+            refused += 1
+            continue
+        assert _same_bytes(sos, expected), (order, cutoff, fs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            zi = sosfilt_zi(sos)
+        assert _same_bytes(zi, signal.sosfilt_zi(expected)), (order, cutoff, fs)
+    assert refused == 119
 
 
 def test_high_order_grid_reaches_past_float64_once():
